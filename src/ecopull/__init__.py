@@ -8,12 +8,10 @@ device energy budget, and reproduces the parameter sweeps and baseline
 comparisons.
 """
 
-from .analytic import (ChainResult, EnumerationBudgetError, McmcResult,
-                       Realization, active_devices, compositions, expected_z,
-                       expected_sifi_exact, expected_sifi_mcmc, frames_needed,
+from .analytic import (ChainResult, McmcResult, compositions,
+                       expected_sifi_exact, expected_sifi_mcmc,
                        mcmc_expected_sifi, omega_nonempty_probability,
-                       p_actual_collect, p_delta, realization_pmf, run_chain,
-                       sifi_affine, success_probability)
+                       p_delta, realization_pmf, run_chain, sifi_affine)
 from .baselines import (BaselineAssumptions, SchemeKind, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
 from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,

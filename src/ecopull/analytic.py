@@ -1,17 +1,18 @@
-"""Expected retrieval score: exact enumeration and Metropolis sampling.
+"""Expected retrieval score: a closed form and Metropolis sampling.
 
-The population of relevant-image counts across devices is a composition
-``psi = (q_0, ..., q_N)`` of K devices into N+1 bins, multinomially
-distributed under the per-image pass probability ``p_th``. A round scores
-``1 - gamma + (gamma - k_d) * D / Omega`` (1 when ``Omega = 0``), where
-``Omega`` counts the actually-relevant images and ``D`` the delivered ones,
-so the expected score is ``offset + (gamma - k_d) * E_psi[f(psi)]`` with the
-exact per-round delivered fraction
+Each device's load (the number of its N images that pass the filter) is
+Binomial(N, p_th), independently across the K devices; the loads' histogram
+is a composition ``psi = (q_0, ..., q_N)`` of K devices into N+1 bins. A
+round scores ``1 - gamma + (gamma - k_d) * D / Omega`` (1 when
+``Omega = 0``), where ``Omega`` counts the actually-relevant images and
+``D`` the delivered ones, so the expected score is
+``offset + (gamma - k_d) * E[f]`` with ``f = D / Omega * 1{Omega > 0}``.
 
-    f(psi) = E[D / Omega * 1{Omega > 0} | psi]
-           = alpha_r * G(R) * sum_nu W_nu * b^(W_nu - 1).
+Given a composition, ``f`` has the exact mean
 
-Here ``W_nu`` devices are active in frame ``nu``, ``b = 1 - 1/L``,
+    f(psi) = alpha_r * G(R) * sum_nu W_nu * b^(W_nu - 1),
+
+where ``W_nu`` devices are active in frame ``nu``, ``b = 1 - 1/L``,
 ``R = sum_nu W_nu`` images pass the filter, ``alpha_r`` and ``alpha_n`` are
 the probabilities that a passed and a filtered-out image is actually
 relevant, and ``G(R) = E[1 / (1 + Bin(R-1, alpha_r) + Bin(KN-R, alpha_n))]``
@@ -19,16 +20,26 @@ weighs a delivered image by the number of actually-relevant images it
 shares the round with. ``f`` lies in [0, 1], and with one device (nothing
 collides) the score reduces to ``offset + slope`` of :func:`sifi_affine`.
 
-Small instances are summed exactly over all compositions; larger ones are
-sampled with a Metropolis chain whose proposal moves one device between two
-bins. The chain applies the Hastings correction for the proposal's
-asymmetry (the eligible-bin count changes as bins empty or fill), so its
-stationary law is the multinomial; ``hastings=False`` gives the paper's
-plain probability ratio, whose stationary law is not.
+:func:`expected_sifi_exact` averages ``f`` over the load distribution in
+closed form. Tag one passed image and write ``1/(1+x) = int_0^1 t^x dt``;
+with ``s = 1 - t``, ``x_r = 1 - alpha_r s``, ``x_n = 1 - alpha_n s`` and
+``P = Bin(N, p_th)``,
 
-The paper's per-frame quantities (:func:`success_probability`,
-:func:`p_actual_collect`, :func:`expected_z`) are kept with their own
-definitions; the score no longer uses them.
+    E[f] = K alpha_r int_0^1 sum_{c>=1} P(c) x_r^(c-1) x_n^(N-c)
+                             * sum_{nu=1..c} M_nu(s)^(K-1) ds,
+
+    M_nu = A - S_nu / L,  S_nu = sum_{c'>=nu} P(c') x_r^c' x_n^(N-c'),
+    A = S_0.
+
+``M_nu`` is the mean factor one other device contributes to an image the
+tagged device sends in frame ``nu``. Each quadrature node costs O(N).
+
+:func:`run_chain` samples compositions with a Metropolis chain whose
+proposal moves one device between two bins. The chain applies the Hastings
+correction for the proposal's asymmetry (the eligible-bin count changes as
+bins empty or fill), so its stationary law is the multinomial;
+``hastings=False`` gives the paper's plain probability ratio, whose
+stationary law is not.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.stats import binom
@@ -46,16 +57,9 @@ from .energy import p_th, quad_interval, gaussian_tail
 from .sifi import fidelity_distance
 
 __all__ = [
-    "EnumerationBudgetError",
-    "Realization",
     "compositions",
     "realization_pmf",
-    "active_devices",
-    "frames_needed",
-    "success_probability",
     "p_delta",
-    "p_actual_collect",
-    "expected_z",
     "omega_nonempty_probability",
     "sifi_affine",
     "score_terms",
@@ -66,40 +70,6 @@ __all__ = [
     "ChainResult",
     "run_chain",
 ]
-
-
-class EnumerationBudgetError(RuntimeError):
-    """The composition count exceeds the configured enumeration budget."""
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Device counts per relevant-image count: ``counts[v]`` devices hold v."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for value in self.counts:
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"realization bin {value!r} must be an "
-                                 f"integer >= 0")
-
-    @property
-    def device_count(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def max_count(self) -> int:
-        return len(self.counts) - 1
-
-
-RealizationLike = Union[Realization, Sequence[int]]
-
-
-def _bins(psi: RealizationLike) -> Sequence[int]:
-    if isinstance(psi, Realization):
-        return psi.counts
-    return psi
 
 
 def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
@@ -114,80 +84,29 @@ def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def realization_pmf(psi: RealizationLike, images_per_device: int,
+def realization_pmf(psi: Sequence[int], images_per_device: int,
                     device_count: int, pass_probability: float) -> float:
     """Multinomial probability of one composition; 0 if the bins miss K.
 
     Evaluated in log space so large factorials and tiny bin probabilities
     never overflow.
     """
-    counts = _bins(psi)
-    if len(counts) != images_per_device + 1:
+    if len(psi) != images_per_device + 1:
         raise ValueError(
-            f"realization has {len(counts)} bins, expected "
+            f"realization has {len(psi)} bins, expected "
             f"{images_per_device + 1}")
-    if sum(counts) != device_count:
+    if sum(psi) != device_count:
         return 0.0
     log_rel = binom.logpmf(np.arange(images_per_device + 1),
                            images_per_device, pass_probability)
-    return math.exp(_log_pmf(counts, device_count, log_rel))
-
-
-def _log_pmf(counts: Sequence[int], device_count: int,
-             log_rel: Sequence[float]) -> float:
     total = math.lgamma(device_count + 1)
-    for nu, q in enumerate(counts):
+    for nu, q in enumerate(psi):
         if q == 0:
             continue
-        term = log_rel[nu]
-        if term == -math.inf:
-            return -math.inf
-        total += q * term - math.lgamma(q + 1)
-    return total
-
-
-def active_devices(psi: RealizationLike, frame: int) -> int:
-    """Devices still transmitting in a given frame (1-based index)."""
-    counts = _bins(psi)
-    images_per_device = len(counts) - 1
-    if not 1 <= frame <= images_per_device:
-        raise ValueError(f"frame={frame} outside [1, {images_per_device}]")
-    return sum(counts[frame:])
-
-
-def frames_needed(psi: RealizationLike) -> int:
-    """Frames until every queue drains: the largest occupied bin index."""
-    counts = _bins(psi)
-    for nu in range(len(counts) - 1, -1, -1):
-        if counts[nu] > 0:
-            return nu
-    return 0
-
-
-def success_probability(psi: RealizationLike, slots: int) -> float:
-    """Per-frame mean of the lone-in-slot probability over occupied frames.
-
-    The paper's per-frame factor. It weighs every frame alike, while the
-    protocol sends ``W_nu`` images in frame ``nu``; the expected score uses
-    the per-round delivered fraction instead (see the module docstring).
-    """
-    if slots < 1:
-        raise ValueError(f"slots={slots} must be >= 1")
-    counts = _bins(psi)
-    horizon = frames_needed(counts)
-    if horizon == 0:
-        return 1.0
-    base = 1.0 - 1.0 / slots
-    total = 0.0
-    remaining = sum(counts[1:])
-    prev = 0
-    for nu in range(1, horizon + 1):
-        if counts[nu] == 0:
-            continue
-        total += (nu - prev) * base ** (remaining - 1)
-        remaining -= counts[nu]
-        prev = nu
-    return total / horizon
+        if log_rel[nu] == -math.inf:
+            return 0.0
+        total += q * log_rel[nu] - math.lgamma(q + 1)
+    return math.exp(total)
 
 
 def p_delta(truth_threshold: float, truth) -> float:
@@ -207,31 +126,6 @@ def _detected_actual_mass(cfg: ScenarioConfig) -> float:
 
     return quad_interval(integrand, cfg.truth_threshold, 1.0,
                          points=[cfg.relevance_threshold])
-
-
-def p_actual_collect(psi: RealizationLike, cfg: ScenarioConfig) -> float:
-    """Probability an actually-relevant image is detected and delivered.
-
-    The paper's per-frame form, built on :func:`success_probability`; the
-    expected score no longer uses it.
-    """
-    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
-    if pdelta <= 0.0:
-        raise ValueError("no image is ever actually relevant "
-                         "(upper-tail mass is zero)")
-    ps = success_probability(psi, cfg.frame_slots())
-    return ps * _detected_actual_mass(cfg) / pdelta
-
-
-def expected_z(psi: RealizationLike, cfg: ScenarioConfig) -> float:
-    """Expected per-image score contribution given a composition.
-
-    The paper's per-frame form, built on :func:`p_actual_collect`; the
-    expected score no longer uses it.
-    """
-    pa = p_actual_collect(psi, cfg)
-    kd = fidelity_distance(cfg.compression_rate)
-    return (1.0 - kd) * pa + (1.0 - pa) * (1.0 - cfg.penalty)
 
 
 def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
@@ -298,12 +192,74 @@ def score_terms(cfg: ScenarioConfig,
 _DECAY_SPAN = 50.0
 _LOAD_BLOCK = 64  # G is evaluated for this many consecutive loads at once
 
+# The closed form's integrand is at most N * exp(-lam s), lam the mean
+# number of other actually-relevant images. It is integrated over all of
+# [0, 1] on panels [0, h], [h, 2h], [2h, 4h], ... with h = 8/lam: the first
+# panel spans 8 e-folds of that decay and holds the bulk of the mass, each
+# later one twice the e-folds of the one before at a tiny fraction of it.
+_FIRST_PANEL = 8.0
+_PANEL_ORDER = 32  # Gauss-Legendre nodes per panel
 
-@lru_cache(maxsize=1)
-def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """64-node Gauss-Legendre nodes and weights on [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
+
+@lru_cache(maxsize=2)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [0, 1] from geometric panels (see above)."""
+    edge = _FIRST_PANEL / lam if lam > _FIRST_PANEL else 1.0
+    edges = [0.0]
+    while edge < 1.0:
+        edges.append(edge)
+        edge *= 2.0
+    edges.append(1.0)
+    nodes, weights = _gauss_rule(_PANEL_ORDER)
+    start = np.array(edges[:-1])[:, None]
+    span = np.diff(edges)[:, None]
+    return (start + span * nodes).ravel(), (span * weights).ravel()
+
+
+def _mean_fraction(device_count: int, images_per_device: int, slots: int,
+                   pass_probability: float, alpha_r: float,
+                   alpha_n: float) -> float:
+    """E[f] over the load distribution, by the closed form (module docstring).
+
+    One row per quadrature node; every sum over loads runs in log space.
+    """
+    images = images_per_device
+    pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
+    s, weights = _panel_rule((device_count * images - 1) * pdelta)
+    s = s[:, None]
+    loads = np.arange(images + 1)
+    log_xr = np.log1p(-alpha_r * s)
+    log_xn = np.log1p(-alpha_n * s)
+    # log P(c): binom.pmf is accurate to ~1e-14 where logpmf loses ~1e-12
+    # at N = 1000, which the power K-1 below amplifies; logpmf keeps the
+    # tails that pmf underflows
+    pmf = binom.pmf(loads, images, pass_probability)
+    with np.errstate(divide="ignore"):
+        log_p = np.where(pmf > 0.0, np.log(pmf),
+                         binom.logpmf(loads, images, pass_probability))
+    # log of P(c) x_r^c x_n^(N-c)
+    log_y = log_p + loads * log_xr + (images - loads) * log_xn
+    # M_nu for nu = 1..N as sum_{c<nu} + b * sum_{c>=nu}: two nonnegative
+    # parts, so nothing cancels, not even at b = 0 (one slot)
+    log_b = math.log1p(-1.0 / slots) if slots > 1 else -math.inf
+    below = np.logaddexp.accumulate(log_y[:, :-1], axis=1)
+    above = np.logaddexp.accumulate(log_y[:, :0:-1], axis=1)[:, ::-1]
+    log_m = np.logaddexp(below, log_b + above)
+    # log sum_{nu=1..c} M_nu^(K-1) for c = 1..N; one device: c frames
+    if device_count > 1:
+        frames = np.logaddexp.accumulate((device_count - 1) * log_m, axis=1)
+    else:
+        frames = np.log(loads[1:])
+    # the tagged device sends c >= 1 images: P(c) x_r^(c-1) x_n^(N-c)
+    log_terms = log_y[:, 1:] - log_xr + frames
+    integrand = np.exp(np.logaddexp.reduce(log_terms, axis=1))
+    return device_count * alpha_r * float(integrand @ weights)
 
 
 class _FractionTable:
@@ -329,7 +285,7 @@ class _FractionTable:
         """Evaluate G on the block of loads holding ``load``; return G(load)."""
         start = max(1, load - load % _LOAD_BLOCK)
         stop = min(self.images, start + _LOAD_BLOCK - 1)
-        nodes, weights = _gauss_rule()
+        nodes, weights = _gauss_rule(64)
         loads = np.arange(start, stop + 1, dtype=float)[:, None]
         lam = (loads - 1.0) * self.alpha_r + (self.images - loads) * self.alpha_n
         span = _DECAY_SPAN / np.maximum(lam, _DECAY_SPAN)
@@ -339,18 +295,6 @@ class _FractionTable:
         values = span[:, 0] * (np.exp(log_h) @ weights)
         self.g[start:stop + 1] = values.tolist()
         return self.g[load]
-
-    def fraction(self, counts: Sequence[int]) -> float:
-        """f(psi) of one composition."""
-        load = sum(nu * q for nu, q in enumerate(counts))
-        if load == 0:
-            return 0.0
-        g = self.g[load]
-        if g is None:
-            g = self.fill(load)
-        occupied = [nu for nu in range(1, len(counts)) if counts[nu] > 0]
-        return self.alpha_r * g * _frame_deliveries(
-            counts, occupied, sum(counts[1:]), self.weight)
 
 
 def _frame_deliveries(counts: Sequence[int], occupied: list[int],
@@ -371,38 +315,16 @@ def _frame_deliveries(counts: Sequence[int], occupied: list[int],
     return total
 
 
-def expected_sifi_exact(cfg: ScenarioConfig,
-                        budget: int = 10_000_000) -> float:
-    """Expected score by full enumeration of the composition space.
-
-    Raises :class:`EnumerationBudgetError` when the composition count
-    C(K+N, N) exceeds ``budget``; use the Metropolis estimate instead.
-    """
-    devices = cfg.device_count
-    images = cfg.images_per_device
-    count = math.comb(devices + images, images)
-    if count > budget:
-        raise EnumerationBudgetError(
-            f"{count} compositions exceed the budget of {budget}")
+def expected_sifi_exact(cfg: ScenarioConfig) -> float:
+    """Expected score from the closed form for E[f] (module docstring)."""
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
     if gain * alpha_r == 0.0:
         return offset
-    log_rel = binom.logpmf(np.arange(images + 1), images, pth).tolist()
-    table = _FractionTable(devices, images, cfg.frame_slots(), alpha_r,
-                           alpha_n)
-    total_weight = 0.0
-    weighted_fraction = 0.0
-    for psi in compositions(devices, images + 1):
-        log_p = _log_pmf(psi, devices, log_rel)
-        if log_p == -math.inf:
-            continue
-        weight = math.exp(log_p)
-        total_weight += weight
-        weighted_fraction += weight * table.fraction(psi)
-    assert abs(total_weight - 1.0) < 1e-6
-    return offset + gain * weighted_fraction
+    return offset + gain * _mean_fraction(
+        cfg.device_count, cfg.images_per_device, cfg.frame_slots(), pth,
+        alpha_r, alpha_n)
 
 
 # --- Metropolis chain over compositions -------------------------------------
@@ -439,11 +361,18 @@ class McmcResult:
     success_trace: Optional[np.ndarray] = None
 
 
-def _initial_state(device_count: int, n_bins: int) -> list[int]:
-    # devices spread round-robin over the bins, as evenly as possible
-    counts = [0] * n_bins
-    for index in range(device_count):
-        counts[index % n_bins] += 1
+def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
+    # the multinomial mean K * p, rounded by largest remainder: the chain
+    # starts in its typical set, so no burn-in is needed to forget the start
+    top = max(log_rel)
+    weights = [math.exp(v - top) for v in log_rel]
+    total = sum(weights)
+    quotas = [device_count * w / total for w in weights]
+    counts = [int(q) for q in quotas]
+    by_remainder = sorted(range(len(quotas)),
+                          key=lambda b: counts[b] - quotas[b])
+    for b in by_remainder[:device_count - sum(counts)]:
+        counts[b] += 1
     return counts
 
 
@@ -459,6 +388,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     decrements a uniformly chosen occupied bin, increments a uniformly
     chosen other bin, and accepts when a fresh uniform draw does not exceed
     the probability ratio (with the proposal correction when ``hastings``).
+    The chain starts at the multinomial mean rounded to whole devices.
     Moves between two zero-probability states are always taken, letting a
     chain started outside the support random-walk into it.
 
@@ -473,7 +403,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     table = _FractionTable(device_count, n_bins - 1, slots, alpha_r, alpha_n)
     weight = table.weight
     g_values = table.g
-    counts = _initial_state(device_count, n_bins)
+    counts = _initial_state(device_count, log_rel)
     occupied = [b for b in range(n_bins) if counts[b] > 0]
     position = {b: i for i, b in enumerate(occupied)}
     load = sum(nu * q for nu, q in enumerate(counts))

@@ -364,7 +364,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from .analytic import EnumerationBudgetError
     from .energy import QuadratureError
 
     parser = build_parser()
@@ -374,10 +373,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationBudgetError as exc:
-        print(f"enumeration too large: {exc}; use --mode mcmc",
-              file=sys.stderr)
-        return 3
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3

@@ -161,9 +161,13 @@ class TruthDistribution:
 
     Subclasses implement ``density``, ``cdf`` and ``sample``; instances are
     stateless and safe to share across workers (callers own the RNG).
+    Dataclass subclasses are validated once, when they are built.
     """
 
     kind = "abstract"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def density(self, beta):
         raise NotImplementedError
@@ -234,6 +238,7 @@ class BetaTruth(TruthDistribution):
     def __post_init__(self) -> None:
         _require(self.alpha > 0 and self.beta > 0,
                  "truth_distribution beta shape parameters must be > 0")
+        super().__post_init__()
 
     def density(self, beta):
         from scipy.stats import beta as beta_dist
@@ -356,7 +361,6 @@ class ScenarioConfig:
             object.__setattr__(self, "radio",
                                replace(self.radio, slot_duration=derived))
 
-        self.truth_distribution.validate()
         # force L resolution errors to surface at construction time
         self.frame_slots()
 

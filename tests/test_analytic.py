@@ -5,13 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, multinomial, norm
 
-from ecopull import (EnumerationBudgetError, Realization, UniformTruth,
-                     active_devices, compositions, expected_sifi_exact,
-                     expected_sifi_mcmc, expected_z, frames_needed,
-                     load_config, mcmc_expected_sifi,
-                     omega_nonempty_probability, p_actual_collect, p_delta,
-                     realization_pmf, sifi_affine, simulate,
-                     success_probability)
+from ecopull import (UniformTruth, compositions, expected_sifi_exact,
+                     expected_sifi_mcmc, fidelity_distance, load_config,
+                     mcmc_expected_sifi, omega_nonempty_probability, p_delta,
+                     p_th, realization_pmf, sifi_affine, simulate)
+from ecopull.analytic import score_terms
 
 
 def cfg_for(device_count, images, slots, **overrides):
@@ -28,12 +26,6 @@ def test_composition_count():
     assert len(states) == math.comb(5, 2)
     assert all(sum(s) == 3 for s in states)
     assert len(set(states)) == len(states)
-
-
-def test_realization_validation():
-    Realization((1, 2, 0))
-    with pytest.raises(ValueError):
-        Realization((1, -1, 2))
 
 
 def test_pmf_point_mass():
@@ -69,64 +61,10 @@ def test_pmf_shape_checked():
         realization_pmf((1, 1), 2, 2, 0.5)
 
 
-def test_active_devices():
-    psi = (1, 2, 1)
-    assert active_devices(psi, 1) == 3
-    assert active_devices(psi, 2) == 1
-    assert active_devices((2, 1, 0), 2) == 0
-    with pytest.raises(ValueError, match="frame"):
-        active_devices(psi, 3)
-    with pytest.raises(ValueError, match="frame"):
-        active_devices(psi, 0)
-
-
-def test_frames_needed():
-    assert frames_needed((4, 0, 0)) == 0
-    assert frames_needed((1, 2, 1)) == 2
-    assert frames_needed((0, 0, 0, 5)) == 3
-    assert frames_needed(Realization((0, 1, 1))) == 2
-
-
-def test_success_probability_cases():
-    assert success_probability((3, 0, 0), 4) == 1.0
-    assert success_probability((0, 2), 2) == pytest.approx(0.5)
-    assert success_probability((0, 1, 1), 2) == pytest.approx(0.75)
-    huge = success_probability((0, 1, 2, 2), 10 ** 12)
-    assert huge == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(ValueError, match="slots"):
-        success_probability((0, 2), 0)
-
-
-def test_success_probability_direct_definition():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        images = int(rng.integers(1, 7))
-        devices = int(rng.integers(1, 6))
-        slots = int(rng.integers(2, 30))
-        psi = np.bincount(rng.integers(0, images + 1, devices),
-                          minlength=images + 1)
-        horizon = frames_needed(psi)
-        if horizon == 0:
-            expected = 1.0
-        else:
-            expected = np.mean([
-                (1 - 1 / slots) ** (sum(psi[f:]) - 1)
-                for f in range(1, horizon + 1)])
-        got = success_probability([int(q) for q in psi], slots)
-        assert got == pytest.approx(expected, rel=1e-12)
-
-
 def test_per_frame_factor_nonincreasing_in_contention():
     for slots in (2, 4, 25):
         factors = [(1 - 1 / slots) ** (w - 1) for w in range(1, 8)]
         assert all(b <= a for a, b in zip(factors, factors[1:]))
-
-
-def test_moving_a_device_up_never_relieves_any_frame():
-    psi = [1, 2, 1, 0, 0]
-    moved = [1, 2, 0, 1, 0]  # one device from two images to three
-    for frame in range(1, 5):
-        assert active_devices(moved, frame) >= active_devices(psi, frame)
 
 
 # --- actually-relevant machinery ---------------------------------------------
@@ -138,40 +76,25 @@ def test_p_delta_values():
     assert p_delta(0.0, truth) == 1.0
 
 
+def detected_fraction(cfg):
+    # P(an actually-relevant image passes the filter) = alpha_r * p_th / p_delta
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise,
+               cfg.truth_distribution)
+    alpha_r = score_terms(cfg, pth)[2]
+    return alpha_r * pth / p_delta(cfg.truth_threshold, cfg.truth_distribution)
+
+
 def test_p_actual_collect_reference_value():
-    # frozen from the quadrature oracle at delta=0.9, vth=0.6, sigma=0.125
+    # an actually-relevant image is collected when it passes the filter and
+    # nothing collides; frozen from the quadrature oracle at delta=0.9,
+    # vth=0.6, sigma=0.125
     cfg = cfg_for(2, 1, 4)
-    value = p_actual_collect((2, 0), cfg)  # success probability is 1
-    assert value == pytest.approx(0.9968310034, abs=1e-8)
+    assert detected_fraction(cfg) == pytest.approx(0.9968310034, abs=1e-8)
 
 
 def test_p_actual_collect_step_noise_limit():
     cfg = cfg_for(2, 1, 4, model_noise=1e-9, relevance_threshold=0.5)
-    assert p_actual_collect((2, 0), cfg) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_p_actual_collect_linear_in_success():
-    cfg = cfg_for(2, 1, 2, model_noise=1e-9, relevance_threshold=0.5)
-    full = p_actual_collect((2, 0), cfg)        # P_s = 1
-    half = p_actual_collect((0, 2), cfg)        # P_s = 1/2
-    assert half == pytest.approx(0.5 * full, rel=1e-9)
-
-
-def test_p_actual_collect_requires_positive_tail():
-    cfg = cfg_for(2, 1, 4, truth_threshold=1.0)
-    with pytest.raises(ValueError, match="actually relevant"):
-        p_actual_collect((2, 0), cfg)
-
-
-def test_expected_z_endpoints():
-    # certain delivery and certain detection: 1 - distance
-    sure = cfg_for(1, 1, 4, model_noise=1e-9, relevance_threshold=0.5,
-                   compression_rate=1.0)
-    assert expected_z((0, 1), sure) == pytest.approx(1.0 - 0.0725, rel=1e-9)
-    # coin-flip delivery at full penalty: the reference mixed value
-    half = cfg_for(2, 1, 2, model_noise=1e-9, relevance_threshold=0.5,
-                   compression_rate=1.0)
-    assert expected_z((0, 2), half) == pytest.approx(0.46375, rel=1e-9)
+    assert detected_fraction(cfg) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_omega_probability():
@@ -193,12 +116,11 @@ def test_exact_perfect_regime_approaches_one():
     assert expected_sifi_exact(cfg) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_exact_matches_direct_multinomial_sum():
-    # reference: per composition, the exact per-round delivered fraction
+def direct_composition_sum(cfg):
+    # per composition, the exact per-round delivered fraction
     # f = alpha_r * E[1/(1 + Bin(R-1, alpha_r) + Bin(KN-R, alpha_n))]
     #     * sum_frames W * b^(W-1), the Bin+Bin law convolved directly
-    cfg = cfg_for(4, 5, 6)
-    from ecopull import fidelity_distance, p_th
+    devices, images = cfg.device_count, cfg.images_per_device
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     pdelta = 1.0 - cfg.truth_threshold  # uniform truth
@@ -207,28 +129,37 @@ def test_exact_matches_direct_multinomial_sum():
                     cfg.truth_threshold, 1.0, epsabs=1e-14)[0]
     alpha_r = detected / pth
     alpha_n = (pdelta - detected) / (1.0 - pth)
-    images = 4 * 5
-    base = 1.0 - 1.0 / 6
-    prel = binom.pmf(np.arange(6), 5, pth)
+    total_images = devices * images
+    base = 1.0 - 1.0 / cfg.frame_slots()
+    prel = binom.pmf(np.arange(images + 1), images, pth)
     mean_fraction = 0.0
-    for psi in compositions(4, 6):
+    for psi in compositions(devices, images + 1):
         load = sum(nu * q for nu, q in enumerate(psi))
         if load == 0:
             continue
         others = np.convolve(binom.pmf(np.arange(load), load - 1, alpha_r),
-                             binom.pmf(np.arange(images - load + 1),
-                                       images - load, alpha_n))
+                             binom.pmf(np.arange(total_images - load + 1),
+                                       total_images - load, alpha_n))
         g = float(np.sum(others / (1.0 + np.arange(len(others)))))
-        active = [sum(psi[frame:]) for frame in range(1, 6)]
+        active = [sum(psi[frame:]) for frame in range(1, images + 1)]
         deliveries = sum(w * base ** (w - 1) for w in active if w > 0)
-        mean_fraction += (multinomial.pmf(psi, 4, prel)
+        mean_fraction += (multinomial.pmf(psi, devices, prel)
                           * alpha_r * g * deliveries)
     p_omega = omega_nonempty_probability(cfg)
     gamma = cfg.penalty
-    total = (p_omega * (1 - gamma) + (1 - p_omega)
-             + (gamma - fidelity_distance(cfg.compression_rate))
-             * mean_fraction)
-    assert expected_sifi_exact(cfg) == pytest.approx(total, rel=1e-9)
+    return (p_omega * (1 - gamma) + (1 - p_omega)
+            + (gamma - fidelity_distance(cfg.compression_rate))
+            * mean_fraction)
+
+
+def test_exact_matches_direct_multinomial_sum():
+    for cfg in (cfg_for(4, 5, 6),
+                cfg_for(4, 5, 1),
+                cfg_for(1, 5, 6),
+                cfg_for(4, 5, 6, truth_threshold=0.5),
+                cfg_for(4, 5, 6, relevance_threshold=0.8, model_noise=1e-4)):
+        assert expected_sifi_exact(cfg) == pytest.approx(
+            direct_composition_sum(cfg), rel=1e-9)
 
 
 def test_exact_single_device_reduces_to_closed_form():
@@ -237,12 +168,6 @@ def test_exact_single_device_reduces_to_closed_form():
     # one device never collides with itself
     assert expected_sifi_exact(cfg) == pytest.approx(offset + slope,
                                                      rel=1e-9)
-
-
-def test_exact_budget_guard():
-    cfg = load_config()  # K=5, N=100 is past the default budget
-    with pytest.raises(EnumerationBudgetError):
-        expected_sifi_exact(cfg, budget=10 ** 6)
 
 
 def test_exact_tracks_simulation_within_model_error():
@@ -256,6 +181,13 @@ def test_exact_tracks_simulation_within_model_error():
     agg = simulate(cfg, 40_000, 17)
     assert exact == pytest.approx(0.93403, abs=2e-3)
     assert abs(exact - agg.mean_sifi) < 0.02
+
+
+def test_exact_matches_simulation_at_scale():
+    # K=50, N=1000: about 10^86 compositions, far past any enumeration
+    cfg = load_config({"device_count": 50, "images_per_device": 1000})
+    agg = simulate(cfg, 200, 3)
+    assert abs(expected_sifi_exact(cfg) - agg.mean_sifi) < 5 * agg.sifi_stderr
 
 
 # --- Metropolis sampling -----------------------------------------------------
@@ -320,8 +252,6 @@ def test_mcmc_estimate_stays_in_unit_interval():
 def test_single_slot_channel_is_supported():
     # one slot: a frame delivers only when exactly one device is active
     cfg = cfg_for(2, 2, 1)
-    assert success_probability((0, 2, 0), 1) == 0.0
-    assert success_probability((1, 1, 0), 1) == 1.0
     exact = expected_sifi_exact(cfg)
     assert 0.0 <= exact <= 1.0
     # corrected chain: the plain ratio's bias peaks on one-slot channels
@@ -334,6 +264,16 @@ def test_trace_has_requested_length():
     result = mcmc_expected_sifi(cfg, 500, 2, keep_trace=True)
     assert result.success_trace.shape == (500,)
     assert np.all((result.success_trace >= 0) & (result.success_trace <= 1))
+
+
+def test_chain_starts_in_typical_set():
+    # without burn-in, a chain started far from the mode carries its
+    # transient into the estimate at this size
+    cfg = load_config({"device_count": 50, "images_per_device": 1000})
+    exact = expected_sifi_exact(cfg)
+    for seed in (1, 2, 3):
+        sampled = expected_sifi_mcmc(cfg, 10_000, seed, burn_in=0)
+        assert abs(sampled - exact) < 0.002
 
 
 def test_burn_in_discards_early_samples():

@@ -1,12 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ecopull import (BetaTruth, ConfigError, UniformTruth, apply_overrides,
-                     dump_config, latent_geometry_for_rate, load_config,
-                     packet_bits, save_config, slots_for_rate)
+from ecopull import (BetaTruth, ConfigError, TruthDistribution, UniformTruth,
+                     apply_overrides, dump_config, latent_geometry_for_rate,
+                     load_config, packet_bits, save_config, slots_for_rate)
 
 
 def test_empty_document_gives_experiment_defaults():
@@ -130,6 +131,33 @@ def test_beta_truth_is_a_valid_distribution():
     rng = np.random.default_rng(5)
     draws = truth.sample(rng, 2000)
     assert np.all((draws >= 0) & (draws <= 1))
+
+
+def test_replace_does_not_revalidate_truth(monkeypatch):
+    cfg = load_config()
+
+    def fail(self, atol=1e-9):
+        raise AssertionError("validate called")
+
+    monkeypatch.setattr(TruthDistribution, "validate", fail)
+    moved = dataclasses.replace(cfg, compression_rate=1.5)
+    assert moved.truth_distribution is cfg.truth_distribution
+
+
+def test_truth_with_wrong_mass_rejected_on_construction():
+    @dataclasses.dataclass(frozen=True)
+    class DoubledTruth(UniformTruth):
+        def density(self, beta):
+            return 2.0 * super().density(beta)
+
+    with pytest.raises(ConfigError, match="integrates"):
+        DoubledTruth()
+
+
+def test_bad_beta_spec_rejected():
+    with pytest.raises(ConfigError, match="beta"):
+        load_config({"truth_distribution": {"kind": "beta", "alpha": -1.0,
+                                            "beta": 2.0}})
 
 
 def test_latent_geometry_matches_rate_within_one_element():
