@@ -25,8 +25,8 @@ from .energy import (EnergyBreakdown, QuadratureError, communication_energy,
                      p_rel, p_th, per_relevant_image_energy, quad_interval,
                      rel_count_pmf)
 from .experiments import (CompareResult, CompareRow, GridPoint,
-                          OptimizationResult, SifiEvaluator, SweepRow,
-                          SweepSpec, compare_schemes, default_rate_grid,
+                          OptimizationResult, SweepRow, SweepSpec,
+                          compare_schemes, default_rate_grid,
                           default_vth_grid, optimize, render_csv,
                           sweep_sifi_vs_rate)
 from .hardware import (InferenceBreakdown, e_dram_access, e_muac,

@@ -52,7 +52,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 from scipy.stats import binom
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .energy import p_th, quad_interval, gaussian_tail
 from .sifi import fidelity_distance
 
@@ -116,16 +116,17 @@ def p_delta(truth_threshold: float, truth) -> float:
     return float(1.0 - truth.cdf(truth_threshold))
 
 
-def _detected_actual_mass(cfg: ScenarioConfig) -> float:
+@lru_cache(maxsize=4096)
+def _detected_actual_mass(relevance_threshold: float, model_noise: float,
+                          truth, truth_threshold: float) -> float:
     """Joint mass of being actually relevant and clearing the device filter."""
 
     def integrand(beta):
-        return (gaussian_tail((cfg.relevance_threshold - beta)
-                              / cfg.model_noise)
-                * cfg.truth_distribution.density(beta))
+        return (gaussian_tail((relevance_threshold - beta) / model_noise)
+                * truth.density(beta))
 
-    return quad_interval(integrand, cfg.truth_threshold, 1.0,
-                         points=[cfg.relevance_threshold])
+    return quad_interval(integrand, truth_threshold, 1.0,
+                         points=[relevance_threshold])
 
 
 def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
@@ -148,7 +149,8 @@ def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     if pdelta <= 0.0:
         return 1.0, 0.0
     p_omega = omega_nonempty_probability(cfg)
-    detect = _detected_actual_mass(cfg)
+    detect = _detected_actual_mass(cfg.relevance_threshold, cfg.model_noise,
+                                   cfg.truth_distribution, cfg.truth_threshold)
     kd = fidelity_distance(cfg.compression_rate)
     gamma = cfg.penalty
     offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
@@ -170,7 +172,8 @@ def score_terms(cfg: ScenarioConfig,
     if pdelta <= 0.0:
         return 1.0, 0.0, 0.0, 0.0
     p_omega = omega_nonempty_probability(cfg)
-    detect = _detected_actual_mass(cfg)
+    detect = _detected_actual_mass(cfg.relevance_threshold, cfg.model_noise,
+                                   cfg.truth_distribution, cfg.truth_threshold)
     gamma = cfg.penalty
     offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
     gain = gamma - fidelity_distance(cfg.compression_rate)
@@ -222,12 +225,14 @@ def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return (start + span * nodes).ravel(), (span * weights).ravel()
 
 
+@lru_cache(maxsize=4096)
 def _mean_fraction(device_count: int, images_per_device: int, slots: int,
                    pass_probability: float, alpha_r: float,
                    alpha_n: float) -> float:
     """E[f] over the load distribution, by the closed form (module docstring).
 
     One row per quadrature node; every sum over loads runs in log space.
+    Compression rates that map to one slot count share the value.
     """
     images = images_per_device
     pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
@@ -315,8 +320,22 @@ def _frame_deliveries(counts: Sequence[int], occupied: list[int],
     return total
 
 
+def _require_drained_queues(cfg: ScenarioConfig) -> None:
+    # the score model lets every queue drain; a frame cap loses the images
+    # still queued at the cap, which no analytic path accounts for
+    if cfg.fixed_frames is not None:
+        raise ConfigError(
+            f"fixed_frames={cfg.fixed_frames} caps the frame horizon, but the "
+            "expected score assumes every queue drains; only simulate "
+            "honours fixed_frames")
+
+
 def expected_sifi_exact(cfg: ScenarioConfig) -> float:
-    """Expected score from the closed form for E[f] (module docstring)."""
+    """Expected score from the closed form for E[f] (module docstring).
+
+    Raises ConfigError when ``cfg.fixed_frames`` is set.
+    """
+    _require_drained_queues(cfg)
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
@@ -505,7 +524,11 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
                        burn_in: int = 0, hastings: bool = True,
                        state_stride: int = 0, keep_trace: bool = False,
                        check_every: int = 1000) -> McmcResult:
-    """Metropolis estimate of the expected score, with diagnostics."""
+    """Metropolis estimate of the expected score, with diagnostics.
+
+    Raises ConfigError when ``cfg.fixed_frames`` is set.
+    """
+    _require_drained_queues(cfg)
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     log_rel = binom.logpmf(np.arange(cfg.images_per_device + 1),

@@ -41,6 +41,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="csv")
 
 
+# optimize and compare keep --samples so that existing command lines run
+_UNUSED_SAMPLES = ("accepted for compatibility; has no effect, because the "
+                   "grid is scored in closed form")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecopull",
@@ -87,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--gamma-th", type=float, default=0.8)
     cmd.add_argument("--images", type=int, default=None,
                      help="override images per device for the search")
-    cmd.add_argument("--samples", type=int, default=10_000)
+    cmd.add_argument("--samples", type=int, default=10_000,
+                     help=_UNUSED_SAMPLES)
     cmd.add_argument("--full-grid", action="store_true",
                      help="emit every grid point, not just the optimum")
 
@@ -97,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--gamma-th", type=float, default=0.8)
     cmd.add_argument("--n-grid", default="5:100:5",
                      help="library-size grid start:stop:step or comma list")
-    cmd.add_argument("--samples", type=int, default=10_000)
+    cmd.add_argument("--samples", type=int, default=10_000,
+                     help=_UNUSED_SAMPLES)
 
     cmd = sub.add_parser("energy-breakdown",
                          help="per-term inference and device energy as CSV")
@@ -254,8 +261,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _load(args)
-    result = optimize(cfg, args.gamma_th, images_per_device=args.images,
-                      samples=args.samples, seed=args.seed)
+    result = optimize(cfg, args.gamma_th, images_per_device=args.images)
     header = ["feasible", "relevance_threshold", "rate", "slots", "sifi",
               "expected_energy", "gamma_th"]
     if result.feasible:
@@ -282,8 +288,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _load(args)
     n_grid = _parse_grid(args.n_grid, integer=True)
-    result = compare_schemes(cfg, n_grid, args.gamma_th,
-                             samples=args.samples, seed=args.seed)
+    result = compare_schemes(cfg, n_grid, args.gamma_th)
     for line in result.assumptions.describe():
         print(f"# assumption {line}")
     header = ["images_per_device", "eta_ecopull", "eta_tinyairnet",

@@ -160,7 +160,8 @@ class TruthDistribution:
     """Distribution of an image's true similarity to the query, on [0, 1].
 
     Subclasses implement ``density``, ``cdf`` and ``sample``; instances are
-    stateless and safe to share across workers (callers own the RNG).
+    stateless and safe to share across workers (callers own the RNG), and
+    hashable and comparable by value: quadratures over them are memoized.
     Dataclass subclasses are validated once, when they are built.
     """
 

@@ -10,6 +10,7 @@ compressor inference plus one packet transmission.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -162,7 +163,14 @@ def p_th(relevance_threshold: float, model_noise: float,
             f"relevance_threshold={relevance_threshold} outside [0, 1]")
     if model_noise <= 0:
         raise ValueError(f"model_noise={model_noise} must be > 0")
+    return _p_th(relevance_threshold, model_noise, truth)
 
+
+@lru_cache(maxsize=4096)
+def _p_th(relevance_threshold: float, model_noise: float,
+          truth: TruthDistribution) -> float:
+    # a grid search asks for the same threshold once per rate and library
+    # size; truth distributions are frozen, so they can key the cache
     def integrand(beta):
         return (gaussian_tail((relevance_threshold - beta) / model_noise)
                 * truth.density(beta))

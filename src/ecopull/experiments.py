@@ -1,26 +1,25 @@
 """Experiment harness: rate sweeps, constrained grid search, scheme comparison.
 
-The Metropolis evaluations reuse one chain per distinct (threshold, slot
-count) pair with a fixed seed, so neighbouring grid points share their
-random numbers and differences between points reflect the parameters, not
-sampling noise.
+The grid search scores every point with the closed form
+:func:`~ecopull.analytic.expected_sifi_exact`, so its feasibility boundary
+and argmin carry no sampling noise and depend on no seed. Rate sweeps in
+``mcmc`` mode run one Metropolis chain per grid point with the sweep's
+seed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
-from .analytic import expected_sifi_exact, run_chain, score_terms
+from .analytic import expected_sifi_exact, expected_sifi_mcmc
 from .baselines import (BaselineAssumptions, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
 from .config import ScenarioConfig, slots_for_rate
-from .energy import expected_total_energy, p_th
+from .energy import expected_total_energy
 from .sim import simulate
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "OptimizationResult",
     "CompareRow",
     "CompareResult",
-    "SifiEvaluator",
     "slots_for_rate",
     "sweep_sifi_vs_rate",
     "default_vth_grid",
@@ -40,48 +38,6 @@ __all__ = [
     "format_cell",
     "render_csv",
 ]
-
-
-@lru_cache(maxsize=4096)
-def _pth_cached(relevance_threshold: float, model_noise: float, truth) -> float:
-    return p_th(relevance_threshold, model_noise, truth)
-
-
-class SifiEvaluator:
-    """Metropolis score evaluator with chain reuse across grid points.
-
-    Chains depend on the configuration only through the relevant-count
-    distribution, the slot count and the relevance pair (alpha_r, alpha_n)
-    of the delivered fraction, so one chain serves every compression rate
-    that maps to the same number of slots.
-    """
-
-    def __init__(self, samples: int = 10_000, seed: int = 0,
-                 burn_in: int = 0, hastings: bool = True):
-        self.samples = samples
-        self.seed = seed
-        self.burn_in = burn_in
-        self.hastings = hastings
-        self._mean_fraction: dict = {}
-
-    def estimate(self, cfg: ScenarioConfig) -> float:
-        pth = _pth_cached(cfg.relevance_threshold, cfg.model_noise,
-                          cfg.truth_distribution)
-        offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
-        if gain * alpha_r == 0.0:
-            return offset
-        key = (cfg.device_count, cfg.images_per_device, cfg.frame_slots(),
-               pth, alpha_r, alpha_n)
-        if key not in self._mean_fraction:
-            log_rel = binom.logpmf(
-                np.arange(cfg.images_per_device + 1),
-                cfg.images_per_device, pth)
-            chain = run_chain(log_rel, cfg.device_count, cfg.frame_slots(),
-                              self.samples, self.seed,
-                              relevance=(alpha_r, alpha_n),
-                              burn_in=self.burn_in, hastings=self.hastings)
-            self._mean_fraction[key] = chain.mean_success
-        return offset + gain * self._mean_fraction[key]
 
 
 @dataclass(frozen=True)
@@ -125,14 +81,13 @@ def _config_at_rate(cfg: ScenarioConfig, rate: float) -> ScenarioConfig:
 
 def sweep_sifi_vs_rate(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the score across compression rates, one row per grid point."""
-    evaluator = SifiEvaluator(samples=spec.samples, seed=spec.seed)
     rows = []
     for rate in spec.grid:
         cfg = _config_at_rate(spec.config, rate)
         slots = cfg.frame_slots()
         mcmc = sim = stderr = exact = None
         if spec.mode in ("mcmc", "both"):
-            mcmc = evaluator.estimate(cfg)
+            mcmc = expected_sifi_mcmc(cfg, spec.samples, spec.seed)
         if spec.mode in ("simulate", "both"):
             aggregate = simulate(cfg, spec.rounds, spec.seed)
             sim = aggregate.mean_sifi
@@ -187,13 +142,12 @@ def default_rate_grid(step: float = 0.0667) -> tuple[float, ...]:
 def optimize(cfg: ScenarioConfig, gamma_th: float,
              images_per_device: Optional[int] = None,
              vth_grid: Optional[Sequence[float]] = None,
-             rate_grid: Optional[Sequence[float]] = None,
-             samples: int = 10_000, seed: int = 0,
-             evaluator: Optional[SifiEvaluator] = None) -> OptimizationResult:
+             rate_grid: Optional[Sequence[float]] = None
+             ) -> OptimizationResult:
     """Minimum expected energy over (threshold, rate) subject to a score floor.
 
-    Every grid point is scored with the same chain seed (common random
-    numbers), so the feasibility boundary is stable run to run. Ties break
+    Every grid point is scored exactly by :func:`expected_sifi_exact`, so
+    a chosen point's ``sifi`` is its exact expected score. Ties break
     deterministically: lowest energy, then highest score, then smallest
     rate, then smallest threshold. An empty feasible set is reported, not
     raised.
@@ -205,7 +159,6 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     vth_grid = tuple(vth_grid) if vth_grid is not None else default_vth_grid()
     rate_grid = (tuple(rate_grid) if rate_grid is not None
                  else default_rate_grid())
-    evaluator = evaluator or SifiEvaluator(samples=samples, seed=seed)
 
     points: list[GridPoint] = []
     best: Optional[GridPoint] = None
@@ -214,7 +167,7 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
         for rate in rate_grid:
             point_cfg = replace(cfg, relevance_threshold=vth,
                                 compression_rate=rate)
-            sifi = evaluator.estimate(point_cfg)
+            sifi = expected_sifi_exact(point_cfg)
             energy = expected_total_energy(point_cfg, form="closed")
             feasible = sifi >= gamma_th
             point = GridPoint(relevance_threshold=vth, rate=rate,
@@ -258,7 +211,7 @@ class CompareResult:
 
 
 def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
-                    gamma_th: float, samples: int = 10_000, seed: int = 0,
+                    gamma_th: float,
                     assumptions: Optional[BaselineAssumptions] = None,
                     vth_grid: Optional[Sequence[float]] = None,
                     rate_grid: Optional[Sequence[float]] = None
@@ -276,7 +229,7 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
     for n in n_grid:
         base_cfg = replace(cfg, images_per_device=int(n))
         result = optimize(base_cfg, gamma_th, vth_grid=vth_grid,
-                          rate_grid=rate_grid, samples=samples, seed=seed)
+                          rate_grid=rate_grid)
         if not result.feasible:
             rows.append(CompareRow(
                 images_per_device=int(n), eta_ecopull=math.nan,

@@ -5,9 +5,9 @@ per criterion. Every criterion is asserted at its stated tolerance and a
 failing one prints a full table. The analysis scores each composition by
 the exact per-round delivered fraction the simulator scores and samples
 with the corrected chain, which criteria 1 and 2 check against simulation.
-Criterion 6 fails: the energy terms in this repository do not reach its
-absolute energy-ratio targets, and the default grid makes the EcoPull ratio
-step up near N=100 (see the README).
+Criterion 6's grid search scores every point with the closed form. It fails
+on its band and its break-even crossing only: the energy terms in this
+repository do not reach its absolute energy-ratio targets (see the README).
 """
 
 import itertools
@@ -149,8 +149,7 @@ def test_criterion_5_rate_sweep_shape():
 @pytest.fixture(scope="module")
 def comparison():
     cfg = load_config()
-    return compare_schemes(cfg, range(5, 101, 5), 0.8, samples=10_000,
-                           seed=11)
+    return compare_schemes(cfg, range(5, 101, 5), 0.8)
 
 
 def test_criterion_6_baseline_comparison(comparison):

@@ -5,7 +5,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, multinomial, norm
 
-from ecopull import (UniformTruth, compositions, expected_sifi_exact,
+from ecopull import (ConfigError, UniformTruth, compositions,
+                     expected_sifi_exact,
                      expected_sifi_mcmc, fidelity_distance, load_config,
                      mcmc_expected_sifi, omega_nonempty_probability, p_delta,
                      p_th, realization_pmf, sifi_affine, simulate)
@@ -195,6 +196,17 @@ def test_exact_matches_simulation_at_scale():
 def test_mcmc_point_mass_scores_one():
     cfg = cfg_for(3, 4, 4, truth_threshold=1.0)
     assert expected_sifi_mcmc(cfg, 1, 0) == 1.0
+
+
+def test_exact_rejects_fixed_frames():
+    # the closed form lets every queue drain, which a frame cap does not
+    with pytest.raises(ConfigError, match="fixed_frames"):
+        expected_sifi_exact(cfg_for(3, 4, 4, fixed_frames=2))
+
+
+def test_mcmc_rejects_fixed_frames():
+    with pytest.raises(ConfigError, match="fixed_frames"):
+        mcmc_expected_sifi(cfg_for(3, 4, 4, fixed_frames=2), 100, 1)
 
 
 def test_mcmc_is_deterministic():

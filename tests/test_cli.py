@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ecopull import load_config
 from ecopull.cli import main
 
@@ -125,6 +127,19 @@ def test_config_errors_exit_code(capsys):
                          "relevance_threshold=2.0")
     assert rc == 2
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--mode", "exact"],
+    ["analyze", "--mode", "mcmc", "--samples", "100"],
+    ["optimize", "--gamma-th", "0.0"],
+    ["compare", "--n-grid", "5", "--gamma-th", "0.0"],
+])
+def test_score_commands_reject_fixed_frames(capsys, command):
+    rc, _, err = run_cli(capsys, *command, "--set", "fixed_frames=2",
+                         "--set", "images_per_device=4")
+    assert rc == 2
+    assert "fixed_frames" in err
 
 
 def test_cli_outputs_are_byte_identical(tmp_path, capsys):

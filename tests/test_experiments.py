@@ -1,11 +1,22 @@
+import sys
+from dataclasses import replace
+
 import pytest
 
-from ecopull import (SweepSpec, compare_schemes, expected_total_energy,
-                     load_config, optimize, render_csv, slots_for_rate,
-                     sweep_sifi_vs_rate)
-from ecopull.experiments import (SifiEvaluator, default_rate_grid,
-                                 default_vth_grid)
+from ecopull import (SweepSpec, compare_schemes, expected_sifi_exact,
+                     expected_total_energy, load_config, optimize, render_csv,
+                     slots_for_rate, sweep_sifi_vs_rate)
+from ecopull.cli import main as cli_main
+from ecopull.experiments import default_rate_grid, default_vth_grid
 from ecopull.svgplot import line_chart
+
+
+def _empty_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "ecopull" or name.startswith("ecopull."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
 
 
 def test_slots_for_rate_reference_points():
@@ -76,20 +87,44 @@ def test_sweep_is_deterministic():
     assert sweep_sifi_vs_rate(spec) == sweep_sifi_vs_rate(spec)
 
 
-def test_evaluator_cache_separates_truth_thresholds():
+def test_score_memo_separates_truth_thresholds():
     # same pass probability and slot count; only the relevance pair differs
     strict = load_config({"images_per_device": 12})
     loose = load_config({"images_per_device": 12, "truth_threshold": 0.7})
-    shared = SifiEvaluator(samples=2000, seed=4)
-    shared.estimate(strict)
-    fresh = SifiEvaluator(samples=2000, seed=4)
-    assert shared.estimate(loose) == fresh.estimate(loose)
+    _empty_caches()
+    cold = expected_sifi_exact(loose)
+    _empty_caches()
+    assert expected_sifi_exact(strict) != cold
+    assert expected_sifi_exact(loose) == cold
+
+
+def test_optimum_meets_floor_exactly():
+    # at N=55 a 10k-step chain scored (0.72, 1.2001) at 0.800053, over the
+    # floor, while its exact score is 0.799722
+    cfg = load_config({"images_per_device": 55})
+    result = optimize(cfg, 0.8)
+    assert result.feasible
+    chosen = replace(cfg, relevance_threshold=result.relevance_threshold,
+                     compression_rate=result.rate)
+    exact = expected_sifi_exact(chosen)
+    assert exact >= 0.8
+    assert result.sifi == exact
+
+
+def test_compare_output_does_not_depend_on_seed(tmp_path):
+    outputs = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert cli_main(["compare", "--n-grid", "10,40", "--gamma-th", "0.8",
+                         "--seed", seed, "--out", str(out)]) == 0
+        outputs.append((out / "compare.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_optimize_unconstrained_returns_energy_minimum():
     cfg = load_config({"images_per_device": 12})
-    result = optimize(cfg, 0.0, samples=500, seed=2,
-                      vth_grid=(0.5, 0.6, 0.7), rate_grid=(1.0, 1.5))
+    result = optimize(cfg, 0.0, vth_grid=(0.5, 0.6, 0.7),
+                      rate_grid=(1.0, 1.5))
     assert result.feasible
     energies = [p.energy for p in result.grid]
     assert result.energy == min(energies)
@@ -100,8 +135,7 @@ def test_optimize_unconstrained_returns_energy_minimum():
 
 def test_optimize_impossible_floor_reports_infeasible():
     cfg = load_config({"images_per_device": 12})
-    result = optimize(cfg, 1.0, samples=500, seed=2,
-                      vth_grid=(0.5, 0.6), rate_grid=(1.0,))
+    result = optimize(cfg, 1.0, vth_grid=(0.5, 0.6), rate_grid=(1.0,))
     assert not result.feasible
     assert result.energy is None and result.rate is None
     assert len(result.grid) == 2
@@ -109,11 +143,9 @@ def test_optimize_impossible_floor_reports_infeasible():
 
 def test_optimize_result_is_rederivable():
     cfg = load_config({"images_per_device": 40})
-    result = optimize(cfg, 0.8, samples=2000, seed=6,
-                      vth_grid=(0.55, 0.65, 0.75),
+    result = optimize(cfg, 0.8, vth_grid=(0.55, 0.65, 0.75),
                       rate_grid=(1.0, 1.3, 1.6))
     assert result.feasible
-    from dataclasses import replace
     chosen = replace(cfg, relevance_threshold=result.relevance_threshold,
                      compression_rate=result.rate)
     assert expected_total_energy(chosen, form="closed") == pytest.approx(
@@ -123,8 +155,7 @@ def test_optimize_result_is_rederivable():
 
 def test_optimize_tie_break_prefers_small_rate_then_threshold():
     cfg = load_config({"images_per_device": 8})
-    result = optimize(cfg, 0.0, samples=200, seed=1,
-                      vth_grid=(0.6, 0.7), rate_grid=(1.0, 1.2))
+    result = optimize(cfg, 0.0, vth_grid=(0.6, 0.7), rate_grid=(1.0, 1.2))
     # energy rises with rate and falls with threshold, so the winner is the
     # highest threshold at the smallest rate
     assert (result.relevance_threshold, result.rate) == (0.7, 1.0)
@@ -138,8 +169,7 @@ def test_optimize_rejects_bad_floor():
 
 def test_compare_rows_and_ratio_consistency():
     cfg = load_config()
-    result = compare_schemes(cfg, [10, 30], 0.8, samples=2000, seed=9,
-                             vth_grid=(0.55, 0.65, 0.75),
+    result = compare_schemes(cfg, [10, 30], 0.8, vth_grid=(0.55, 0.65, 0.75),
                              rate_grid=(1.0, 1.5))
     assert [row.images_per_device for row in result.rows] == [10, 30]
     for row in result.rows:
