@@ -50,8 +50,8 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
+from . import _binomial
 from .config import ConfigError, ScenarioConfig
 from .energy import p_th, quad_interval, gaussian_tail
 from .sifi import fidelity_distance
@@ -64,6 +64,7 @@ __all__ = [
     "sifi_affine",
     "score_terms",
     "expected_sifi_exact",
+    "expected_sifi_over_rates",
     "expected_sifi_mcmc",
     "mcmc_expected_sifi",
     "McmcResult",
@@ -97,8 +98,7 @@ def realization_pmf(psi: Sequence[int], images_per_device: int,
             f"{images_per_device + 1}")
     if sum(psi) != device_count:
         return 0.0
-    log_rel = binom.logpmf(np.arange(images_per_device + 1),
-                           images_per_device, pass_probability)
+    log_rel = _binomial.logpmf(images_per_device, pass_probability)
     total = math.lgamma(device_count + 1)
     for nu, q in enumerate(psi):
         if q == 0:
@@ -225,14 +225,16 @@ def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
     return (start + span * nodes).ravel(), (span * weights).ravel()
 
 
-@lru_cache(maxsize=4096)
-def _mean_fraction(device_count: int, images_per_device: int, slots: int,
-                   pass_probability: float, alpha_r: float,
-                   alpha_n: float) -> float:
-    """E[f] over the load distribution, by the closed form (module docstring).
+def _mean_fractions(device_count: int, images_per_device: int,
+                    slot_counts: Sequence[int], pass_probability: float,
+                    alpha_r: float, alpha_n: float) -> dict[int, float]:
+    """E[f] over the load distribution for each slot count, by the closed
+    form (module docstring).
 
     One row per quadrature node; every sum over loads runs in log space.
-    Compression rates that map to one slot count share the value.
+    Only ``log m`` and the frame sum depend on the slot count, so the
+    nodes, ``log P(c)``, ``log y`` and its prefix and suffix sums are
+    computed once for all of ``slot_counts``.
     """
     images = images_per_device
     pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
@@ -241,30 +243,34 @@ def _mean_fraction(device_count: int, images_per_device: int, slots: int,
     loads = np.arange(images + 1)
     log_xr = np.log1p(-alpha_r * s)
     log_xn = np.log1p(-alpha_n * s)
-    # log P(c): binom.pmf is accurate to ~1e-14 where logpmf loses ~1e-12
-    # at N = 1000, which the power K-1 below amplifies; logpmf keeps the
-    # tails that pmf underflows
-    pmf = binom.pmf(loads, images, pass_probability)
+    # log P(c): the saddle-point pmf is within 1e-14 in the bulk where
+    # logpmf loses ~1e-12 at N = 1000, which the power K-1 below amplifies;
+    # logpmf keeps the tails that pmf underflows
+    pmf = _binomial.pmf(images, pass_probability)
     with np.errstate(divide="ignore"):
         log_p = np.where(pmf > 0.0, np.log(pmf),
-                         binom.logpmf(loads, images, pass_probability))
+                         _binomial.logpmf(images, pass_probability))
     # log of P(c) x_r^c x_n^(N-c)
     log_y = log_p + loads * log_xr + (images - loads) * log_xn
-    # M_nu for nu = 1..N as sum_{c<nu} + b * sum_{c>=nu}: two nonnegative
-    # parts, so nothing cancels, not even at b = 0 (one slot)
-    log_b = math.log1p(-1.0 / slots) if slots > 1 else -math.inf
     below = np.logaddexp.accumulate(log_y[:, :-1], axis=1)
     above = np.logaddexp.accumulate(log_y[:, :0:-1], axis=1)[:, ::-1]
-    log_m = np.logaddexp(below, log_b + above)
-    # log sum_{nu=1..c} M_nu^(K-1) for c = 1..N; one device: c frames
-    if device_count > 1:
-        frames = np.logaddexp.accumulate((device_count - 1) * log_m, axis=1)
-    else:
-        frames = np.log(loads[1:])
     # the tagged device sends c >= 1 images: P(c) x_r^(c-1) x_n^(N-c)
-    log_terms = log_y[:, 1:] - log_xr + frames
-    integrand = np.exp(np.logaddexp.reduce(log_terms, axis=1))
-    return device_count * alpha_r * float(integrand @ weights)
+    tagged = log_y[:, 1:] - log_xr
+    fractions = {}
+    for slots in slot_counts:
+        # M_nu for nu = 1..N as sum_{c<nu} + b * sum_{c>=nu}: two
+        # nonnegative parts, so nothing cancels, not even at b = 0 (one slot)
+        log_b = math.log1p(-1.0 / slots) if slots > 1 else -math.inf
+        log_m = np.logaddexp(below, log_b + above)
+        # log sum_{nu=1..c} M_nu^(K-1) for c = 1..N; one device: c frames
+        if device_count > 1:
+            frames = np.logaddexp.accumulate((device_count - 1) * log_m,
+                                             axis=1)
+        else:
+            frames = np.log(loads[1:])
+        integrand = np.exp(np.logaddexp.reduce(tagged + frames, axis=1))
+        fractions[slots] = device_count * alpha_r * float(integrand @ weights)
+    return fractions
 
 
 class _FractionTable:
@@ -330,20 +336,41 @@ def _require_drained_queues(cfg: ScenarioConfig) -> None:
             "honours fixed_frames")
 
 
-def expected_sifi_exact(cfg: ScenarioConfig) -> float:
-    """Expected score from the closed form for E[f] (module docstring).
+def expected_sifi_over_rates(cfg: ScenarioConfig,
+                             rates: Sequence[float]) -> list[float]:
+    """Expected score of ``cfg`` at each compression rate of ``rates``.
+
+    The closed form (module docstring) with the rate-independent work done
+    once: the pass probability and the score terms for the whole call,
+    the quadrature and the sums over loads once per distinct slot count,
+    and only the gain ``gamma - k_d(r)`` per rate. Each value is bitwise
+    :func:`expected_sifi_exact` of ``cfg`` at that rate.
 
     Raises ConfigError when ``cfg.fixed_frames`` is set.
     """
     _require_drained_queues(cfg)
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
-    offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
-    if gain * alpha_r == 0.0:
-        return offset
-    return offset + gain * _mean_fraction(
-        cfg.device_count, cfg.images_per_device, cfg.frame_slots(), pth,
-        alpha_r, alpha_n)
+    offset, _, alpha_r, alpha_n = score_terms(cfg, pth)
+    gains = [cfg.penalty - fidelity_distance(rate) for rate in rates]
+    slots = [cfg.frame_slots(rate) for rate in rates]
+    scored = sorted({count for count, gain in zip(slots, gains)
+                     if gain * alpha_r != 0.0})
+    fractions = (_mean_fractions(cfg.device_count, cfg.images_per_device,
+                                 scored, pth, alpha_r, alpha_n)
+                 if scored else {})
+    return [offset if gain * alpha_r == 0.0
+            else offset + gain * fractions[count]
+            for gain, count in zip(gains, slots)]
+
+
+def expected_sifi_exact(cfg: ScenarioConfig) -> float:
+    """Expected score from the closed form for E[f] (module docstring).
+
+    The one-rate case of :func:`expected_sifi_over_rates`. Raises
+    ConfigError when ``cfg.fixed_frames`` is set.
+    """
+    return expected_sifi_over_rates(cfg, (cfg.compression_rate,))[0]
 
 
 # --- Metropolis chain over compositions -------------------------------------
@@ -531,8 +558,7 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
     _require_drained_queues(cfg)
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
-    log_rel = binom.logpmf(np.arange(cfg.images_per_device + 1),
-                           cfg.images_per_device, pth)
+    log_rel = _binomial.logpmf(cfg.images_per_device, pth)
     offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
     chain = run_chain(log_rel, cfg.device_count, cfg.frame_slots(),
                       samples, seed, relevance=(alpha_r, alpha_n),

@@ -365,18 +365,30 @@ class ScenarioConfig:
         # force L resolution errors to surface at construction time
         self.frame_slots()
 
-    def frame_slots(self) -> int:
-        """Resolved slots per frame (explicit value, else derived from rate)."""
+    def frame_slots(self, rate: Optional[float] = None) -> int:
+        """Resolved slots per frame (explicit value, else derived from rate).
+
+        ``rate`` stands in for ``compression_rate``, so a grid over rates
+        needs no config per rate.
+        """
+        if rate is None:
+            rate = self.compression_rate
+        _require(rate > 0, f"compression_rate={rate} must be > 0")
         if self.slots_per_frame is not None:
             return self.slots_per_frame
-        return slots_for_rate(self.compression_rate, self.slot_coefficient)
+        return slots_for_rate(rate, self.slot_coefficient)
 
 
-def packet_bits(cfg: ScenarioConfig) -> float:
-    """Uplink packet size in bits: compression rate times pixels per image."""
-    if cfg.compression_rate <= 0:
-        raise ConfigError(f"compression_rate={cfg.compression_rate} must be > 0")
-    return cfg.compression_rate * cfg.image.pixels
+def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
+    """Uplink packet size in bits: compression rate times pixels per image.
+
+    ``rate`` stands in for ``cfg.compression_rate``.
+    """
+    if rate is None:
+        rate = cfg.compression_rate
+    if rate <= 0:
+        raise ConfigError(f"compression_rate={rate} must be > 0")
+    return rate * cfg.image.pixels
 
 
 def latent_geometry_for_rate(cfg: ScenarioConfig) -> LatentGeometry:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfc
-from scipy.stats import binom
 
+from . import _binomial
 from .config import ScenarioConfig, TruthDistribution, packet_bits
 from .hardware import inference_energy, model_load_energy
 
@@ -35,6 +36,7 @@ __all__ = [
     "p_rel",
     "rel_count_pmf",
     "expected_total_energy",
+    "expected_energy_over_rates",
 ]
 
 
@@ -143,11 +145,19 @@ def fixed_overhead_energy(cfg: ScenarioConfig) -> float:
     return computation_energy(cfg, 0) + communication_energy(cfg, 0)
 
 
+def _compression_energy(cfg: ScenarioConfig) -> float:
+    return inference_energy(cfg.compressor_hw, cfg.compressor_model, cfg.image)
+
+
+def _uplink_energy(cfg: ScenarioConfig,
+                   rate: Optional[float] = None) -> float:
+    # one packet at ``rate`` (default: the configured compression rate)
+    return cfg.radio.tx_power * packet_bits(cfg, rate) / cfg.radio.rate
+
+
 def per_relevant_image_energy(cfg: ScenarioConfig) -> float:
     """Marginal energy of one relevant image: compression plus transmission."""
-    compress = inference_energy(cfg.compressor_hw, cfg.compressor_model,
-                                cfg.image)
-    return compress + cfg.radio.tx_power * packet_bits(cfg) / cfg.radio.rate
+    return _compression_energy(cfg) + _uplink_energy(cfg)
 
 
 def p_th(relevance_threshold: float, model_noise: float,
@@ -185,30 +195,73 @@ def p_rel(relevant_count: int, images_per_device: int,
     if not 0 <= relevant_count <= images_per_device:
         raise ValueError(
             f"relevant_count={relevant_count} outside [0, {images_per_device}]")
-    return float(binom.pmf(relevant_count, images_per_device, pass_probability))
+    return float(_binomial.pmf(images_per_device,
+                               pass_probability)[relevant_count])
 
 
 def rel_count_pmf(images_per_device: int, pass_probability: float) -> np.ndarray:
     """Binomial pmf over relevant-image counts 0..N as a vector."""
-    counts = np.arange(images_per_device + 1)
-    return binom.pmf(counts, images_per_device, pass_probability)
+    return _binomial.pmf(images_per_device, pass_probability)
+
+
+def _capped_mean(images_per_device: int, pass_probability: float,
+                 frames: int) -> float:
+    # E[min(c, F)] for c ~ Bin(N, p), as F - sum_{c<F} (F - c) P(c): only
+    # loads below the cap send fewer than F images
+    if frames >= images_per_device:
+        return images_per_device * pass_probability
+    pmf = rel_count_pmf(images_per_device, pass_probability)[:frames]
+    return frames - float(np.dot(frames - np.arange(frames), pmf))
+
+
+def expected_energy_over_rates(cfg: ScenarioConfig,
+                               rates: Sequence[float]) -> list[float]:
+    """Closed-form expected per-device energy of ``cfg`` at each rate.
+
+    The pass probability, the fixed overhead and the compression energy
+    are computed once; only the uplink packet depends on the rate. Each
+    value is bitwise ``expected_total_energy(form="closed")`` of ``cfg``
+    at that rate.
+
+    A device compresses all ``c ~ Bin(N, p_th)`` of its passed images but,
+    under ``fixed_frames`` ``F``, sends one per frame, ``min(c, F)`` in
+    all, as the simulator does.
+    """
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
+    overhead = fixed_overhead_energy(cfg)
+    compress = _compression_energy(cfg)
+    n = cfg.images_per_device
+    if cfg.fixed_frames is None:
+        return [n * pth * (compress + _uplink_energy(cfg, rate)) + overhead
+                for rate in rates]
+    sent = _capped_mean(n, pth, cfg.fixed_frames)
+    return [n * pth * compress + sent * _uplink_energy(cfg, rate) + overhead
+            for rate in rates]
 
 
 def expected_total_energy(cfg: ScenarioConfig, form: str = "sum") -> float:
     """Expected per-device energy for one query, in joules.
 
     ``form="sum"`` accumulates over the relevant-count distribution;
-    ``form="closed"`` uses the binomial mean directly. Both agree to
-    floating-point accuracy and exist so each can check the other.
+    ``form="closed"`` uses the binomial mean directly (the one-rate case of
+    :func:`expected_energy_over_rates`). Both agree to floating-point
+    accuracy and exist so each can check the other. Under
+    ``fixed_frames`` ``F`` the uplink term counts the ``min(c, F)`` images
+    a device sends, not the ``c`` it compresses.
     """
-    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
-    per_image = per_relevant_image_energy(cfg)
-    overhead = fixed_overhead_energy(cfg)
-    n = cfg.images_per_device
     if form == "closed":
-        return n * pth * per_image + overhead
+        return expected_energy_over_rates(cfg, (cfg.compression_rate,))[0]
     if form != "sum":
         raise ValueError(f"unknown form {form!r}")
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
+    overhead = fixed_overhead_energy(cfg)
+    n = cfg.images_per_device
     counts = np.arange(n + 1)
     weights = rel_count_pmf(n, pth)
-    return float(np.dot(counts, weights) * per_image) + overhead
+    if cfg.fixed_frames is None:
+        per_image = per_relevant_image_energy(cfg)
+        return float(np.dot(counts, weights) * per_image) + overhead
+    sent = np.minimum(counts, cfg.fixed_frames)
+    return (float(np.dot(counts, weights) * _compression_energy(cfg)
+                  + np.dot(sent, weights) * _uplink_energy(cfg))
+            + overhead)

@@ -2,9 +2,10 @@
 
 The grid search scores every point with the closed form
 :func:`~ecopull.analytic.expected_sifi_exact`, so its feasibility boundary
-and argmin carry no sampling noise and depend on no seed. Rate sweeps in
-``mcmc`` mode run one Metropolis chain per grid point with the sweep's
-seed.
+and argmin carry no sampling noise and depend on no seed. It scores all
+rates of one threshold in one call, which shares the threshold's
+quadratures and sums over loads between them. Rate sweeps in ``mcmc`` mode
+run one Metropolis chain per grid point with the sweep's seed.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import expected_sifi_exact, expected_sifi_mcmc
+from .analytic import expected_sifi_mcmc, expected_sifi_over_rates
 from .baselines import (BaselineAssumptions, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
 from .config import ScenarioConfig, slots_for_rate
-from .energy import expected_total_energy
+from .energy import expected_energy_over_rates, expected_total_energy
 from .sim import simulate
 
 __all__ = [
@@ -81,19 +82,19 @@ def _config_at_rate(cfg: ScenarioConfig, rate: float) -> ScenarioConfig:
 
 def sweep_sifi_vs_rate(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the score across compression rates, one row per grid point."""
+    exact_scores = (expected_sifi_over_rates(spec.config, spec.grid)
+                    if spec.mode == "exact" else [None] * len(spec.grid))
     rows = []
-    for rate in spec.grid:
+    for rate, exact in zip(spec.grid, exact_scores):
         cfg = _config_at_rate(spec.config, rate)
         slots = cfg.frame_slots()
-        mcmc = sim = stderr = exact = None
+        mcmc = sim = stderr = None
         if spec.mode in ("mcmc", "both"):
             mcmc = expected_sifi_mcmc(cfg, spec.samples, spec.seed)
         if spec.mode in ("simulate", "both"):
             aggregate = simulate(cfg, spec.rounds, spec.seed)
             sim = aggregate.mean_sifi
             stderr = aggregate.sifi_stderr
-        if spec.mode == "exact":
-            exact = expected_sifi_exact(cfg)
         rows.append(SweepRow(rate=rate, slots=slots, sifi_mcmc=mcmc,
                              sifi_sim=sim, sim_stderr=stderr,
                              sifi_exact=exact))
@@ -146,8 +147,10 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
              ) -> OptimizationResult:
     """Minimum expected energy over (threshold, rate) subject to a score floor.
 
-    Every grid point is scored exactly by :func:`expected_sifi_exact`, so
-    a chosen point's ``sifi`` is its exact expected score. Ties break
+    Every grid point is scored exactly: its ``sifi``, ``energy`` and
+    ``slots`` are bitwise :func:`expected_sifi_exact`,
+    ``expected_total_energy(form="closed")`` and ``frame_slots()`` of the
+    config at that point, computed one threshold at a time. Ties break
     deterministically: lowest energy, then highest score, then smallest
     rate, then smallest threshold. An empty feasible set is reported, not
     raised.
@@ -160,19 +163,20 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     rate_grid = (tuple(rate_grid) if rate_grid is not None
                  else default_rate_grid())
 
+    slot_grid = [cfg.frame_slots(rate) for rate in rate_grid]
     points: list[GridPoint] = []
     best: Optional[GridPoint] = None
     best_key = None
     for vth in vth_grid:
-        for rate in rate_grid:
-            point_cfg = replace(cfg, relevance_threshold=vth,
-                                compression_rate=rate)
-            sifi = expected_sifi_exact(point_cfg)
-            energy = expected_total_energy(point_cfg, form="closed")
+        threshold_cfg = replace(cfg, relevance_threshold=vth)
+        scores = expected_sifi_over_rates(threshold_cfg, rate_grid)
+        energies = expected_energy_over_rates(threshold_cfg, rate_grid)
+        for rate, slots, sifi, energy in zip(rate_grid, slot_grid, scores,
+                                             energies):
             feasible = sifi >= gamma_th
             point = GridPoint(relevance_threshold=vth, rate=rate,
-                              slots=point_cfg.frame_slots(), sifi=sifi,
-                              energy=energy, feasible=feasible)
+                              slots=slots, sifi=sifi, energy=energy,
+                              feasible=feasible)
             points.append(point)
             if feasible:
                 key = (energy, -sifi, rate, vth)

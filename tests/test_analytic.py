@@ -10,7 +10,7 @@ from ecopull import (ConfigError, UniformTruth, compositions,
                      expected_sifi_mcmc, fidelity_distance, load_config,
                      mcmc_expected_sifi, omega_nonempty_probability, p_delta,
                      p_th, realization_pmf, sifi_affine, simulate)
-from ecopull.analytic import score_terms
+from ecopull.analytic import expected_sifi_over_rates, score_terms
 
 
 def cfg_for(device_count, images, slots, **overrides):
@@ -202,6 +202,12 @@ def test_exact_rejects_fixed_frames():
     # the closed form lets every queue drain, which a frame cap does not
     with pytest.raises(ConfigError, match="fixed_frames"):
         expected_sifi_exact(cfg_for(3, 4, 4, fixed_frames=2))
+
+
+def test_rate_grid_rejects_nonpositive_rate():
+    # with explicit slots no slot derivation would catch it
+    with pytest.raises(ConfigError, match="compression_rate"):
+        expected_sifi_over_rates(cfg_for(3, 4, 4), (1.0, 0.0))
 
 
 def test_mcmc_rejects_fixed_frames():

@@ -1,0 +1,71 @@
+from math import comb
+
+import numpy as np
+import pytest
+from scipy.stats import binom
+
+from ecopull import _binomial
+
+SIZES = (0, 1, 4, 100, 1000, 100_000)
+PROBABILITIES = (0.0, 1e-12, 0.31, 0.5, 1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("n", (0, 1, 7, 100, 1000, 20_000))
+@pytest.mark.parametrize("p", (0.0, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.9,
+                               1.0 - 1e-9, 1.0))
+def test_logpmf_is_bitwise_scipy(n, p):
+    # the Metropolis chain and realization_pmf replay unchanged only if so
+    expected = binom.logpmf(np.arange(n + 1), n, p)
+    assert np.array_equal(_binomial.logpmf(n, p), expected)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", PROBABILITIES)
+def test_pmf_matches_scipy(n, p):
+    # pytest.approx keeps its 1e-12 absolute floor: at N = 1e5 scipy's own
+    # pmf is off by up to 4e-13 relative where it is 1e-12..1e-6
+    value = _binomial.pmf(n, p)
+    assert value.shape == (n + 1,)
+    assert value == pytest.approx(binom.pmf(np.arange(n + 1), n, p),
+                                  rel=1e-13)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("p", PROBABILITIES)
+def test_pmf_sums_to_one(n, p):
+    assert abs(_binomial.pmf(n, p).sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n, p", [(4, 0.31), (100, 0.31), (100, 1e-12),
+                                  (1000, 0.5), (1000, 0.31), (1000, 0.999),
+                                  (100_000, 1.0 - 1e-12)])
+def test_pmf_matches_exact_rational_value(n, p):
+    # p = a/d exactly, so the pmf is a ratio of integers, which int division
+    # rounds correctly: within 1e-14 in the bulk and 2e-13 in the tails.
+    # The small loads and their mirror images use every tabulated Stirling
+    # term.
+    a, d = p.as_integer_ratio()
+    value = _binomial.pmf(n, p)
+    rough = _binomial.logpmf(n, p)
+    mode = int(n * p)
+    loads = set(range(min(n, 16) + 1)) | {n - k for k in range(min(n, 16))}
+    loads |= {n // 3, max(0, mode - 5), mode, min(n, mode + 3)}
+    # the exact values below 1e-278 are skipped
+    kept = sorted(k for k in loads if rough[k] > -640.0)
+    assert kept
+    done, power = 0, 1
+    for k in kept:
+        power *= a ** (k - done)  # a ** k, built up across the loads
+        done = k
+        exact = comb(n, k) * power * (d - a) ** (n - k) / d ** n
+        rel = 1e-14 if exact > 1e-6 else 2e-13
+        assert value[k] == pytest.approx(exact, rel=rel, abs=0.0)
+
+
+def test_pmf_edge_cases():
+    assert _binomial.pmf(0, 0.3).tolist() == [1.0]
+    assert _binomial.pmf(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert _binomial.pmf(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    # far tails underflow to 0, not to NaN
+    tails = _binomial.pmf(100_000, 0.5)
+    assert np.all(np.isfinite(tails)) and tails[0] == 0.0

@@ -122,6 +122,27 @@ def test_expected_energy_grid(capsys):
     assert len(lines) == 5
 
 
+def test_energy_commands_match_simulation_under_frame_cap(capsys):
+    cap = ("--set", "fixed_frames=1")
+    rc, out, _ = run_cli(capsys, "simulate", "--rounds", "2000", "--seed", "1",
+                         *cap)
+    assert rc == 0
+    lines = out.strip().splitlines()
+    row = dict(zip(lines[0].split(","), lines[-1].split(",")))
+    simulated = float(row["mean_device_energy"])
+    margin = 5 * float(row["energy_stderr"])
+    rc, out, _ = run_cli(capsys, "expected-energy", "--vth-grid", "0.6",
+                         "--r-grid", "2.0", *cap)
+    assert rc == 0
+    expected = float(out.strip().splitlines()[1].split(",")[2])
+    assert abs(expected - simulated) < margin
+    rc, out, _ = run_cli(capsys, "energy-breakdown", *cap)
+    assert rc == 0
+    total = next(line for line in out.splitlines()
+                 if line.startswith("expected_total,"))
+    assert abs(float(total.split(",")[1]) - simulated) < margin
+
+
 def test_config_errors_exit_code(capsys):
     rc, _, err = run_cli(capsys, "print-config", "--set",
                          "relevance_threshold=2.0")

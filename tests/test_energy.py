@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,30 @@ def test_expected_energy_matches_simulation_mean():
     expected = expected_total_energy(cfg)
     margin = 4 * aggregate.total_energy_stderr
     assert abs(aggregate.mean_total_energy - expected) < margin
+
+
+@pytest.mark.parametrize("overrides", [
+    {"fixed_frames": 1},
+    {"images_per_device": 30, "fixed_frames": 10},
+])
+def test_expected_energy_honours_fixed_frames(overrides):
+    # every passed image is compressed, but only min(c, F) are sent
+    cfg = load_config(overrides)
+    aggregate = simulate(cfg, 2000, 1)
+    margin = 5 * aggregate.total_energy_stderr
+    closed = expected_total_energy(cfg, form="closed")
+    assert expected_total_energy(cfg, form="sum") == pytest.approx(
+        closed, rel=1e-12)
+    assert abs(aggregate.mean_total_energy - closed) < margin
+    # the drain-all energy fails the same check
+    drained = expected_total_energy(replace(cfg, fixed_frames=None),
+                                    form="closed")
+    assert drained - aggregate.mean_total_energy > 10 * margin
+
+
+def test_frame_cap_beyond_every_queue_changes_nothing():
+    cfg = load_config({"images_per_device": 12})
+    capped = replace(cfg, fixed_frames=12)
+    for form in ("sum", "closed"):
+        assert expected_total_energy(capped, form=form) == pytest.approx(
+            expected_total_energy(cfg, form=form), rel=1e-12)

@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +99,29 @@ def test_score_memo_separates_truth_thresholds():
     _empty_caches()
     assert expected_sifi_exact(strict) != cold
     assert expected_sifi_exact(loose) == cold
+
+
+def test_grid_points_equal_single_point_evaluation():
+    # the grid scores one threshold at a time; every value must be the
+    # single-point one, bit for bit
+    cfg = load_config({"images_per_device": 25})
+    result = optimize(cfg, 0.8)
+    assert len(result.grid) == len(default_vth_grid()) * len(default_rate_grid())
+    for point in result.grid:
+        single = replace(cfg, relevance_threshold=point.relevance_threshold,
+                         compression_rate=point.rate)
+        assert point.sifi == expected_sifi_exact(single)
+        assert point.energy == expected_total_energy(single, form="closed")
+        assert point.slots == single.frame_slots()
+
+
+def test_sweep_exact_rows_equal_single_point_evaluation():
+    cfg = load_config({"images_per_device": 20, "truth_threshold": 0.8})
+    grid = (1.0, 1.2, 1.6, 2.4, 4.86)
+    rows = sweep_sifi_vs_rate(SweepSpec(config=cfg, grid=grid, mode="exact"))
+    for row in rows:
+        single = replace(cfg, compression_rate=row.rate)
+        assert row.sifi_exact == expected_sifi_exact(single)
 
 
 def test_optimum_meets_floor_exactly():
@@ -196,3 +222,25 @@ def test_svg_chart_is_well_formed():
     assert svg.count("<polyline") == 2
     with pytest.raises(ValueError):
         line_chart([])
+
+
+def test_commands_do_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs most of the package's import time; it must stay out
+    # of the import and of the score paths, not move into the first call
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "import ecopull, ecopull.cli\n"
+        "ecopull.load_config(None)\n"
+        "out = sys.argv[1]\n"
+        "assert ecopull.cli.main(['compare', '--n-grid', '5', '--out', out]) == 0\n"
+        "assert ecopull.cli.main(['analyze', '--mode', 'exact', '--set',\n"
+        "                         'images_per_device=10', '--out', out]) == 0\n"
+        "print('scipy.stats' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "False"
