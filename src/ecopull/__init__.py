@@ -15,10 +15,10 @@ from .analytic import (ChainResult, McmcResult, compositions,
 from .baselines import (BaselineAssumptions, SchemeKind, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
 from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
-                     LatentGeometry, ModelCost, PNG_BPP, RadioProfile,
-                     ScenarioConfig, TruthDistribution, UniformTruth,
-                     apply_overrides, dump_config, latent_geometry_for_rate,
-                     load_config, packet_bits, save_config, slots_for_rate)
+                     ModelCost, PNG_BPP, RadioProfile, ScenarioConfig,
+                     TruthDistribution, UniformTruth, apply_overrides,
+                     dump_config, load_config, packet_bits, save_config,
+                     slots_for_rate)
 from .energy import (EnergyBreakdown, QuadratureError, communication_energy,
                      computation_energy, device_energy, expected_total_energy,
                      fixed_overhead_energy, gaussian_tail, model_load_total,
@@ -32,8 +32,7 @@ from .experiments import (CompareResult, CompareRow, GridPoint,
 from .hardware import (InferenceBreakdown, e_dram_access, e_muac,
                        inference_breakdown, inference_energy,
                        model_load_energy)
-from .sifi import FIDELITY_BASE, ImageRecord, fidelity_distance, realized_sifi
-from .sim import (DeviceState, RoundOutcome, RoundStats, SimAggregate,
-                  draw_similarities, run_round, simulate)
+from .sifi import FIDELITY_BASE, fidelity_distance
+from .sim import RoundOutcome, RoundStats, SimAggregate, run_round, simulate
 
 __version__ = "0.1.0"

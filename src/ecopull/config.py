@@ -9,16 +9,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import warnings
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Any, Iterable, Mapping, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
 
+from .sifi import fidelity_distance
+
 __all__ = [
     "ConfigError",
     "ImageGeometry",
-    "LatentGeometry",
     "RadioProfile",
     "HardwareProfile",
     "ModelCost",
@@ -29,7 +31,6 @@ __all__ = [
     "PNG_BPP",
     "slots_for_rate",
     "packet_bits",
-    "latent_geometry_for_rate",
     "load_config",
     "save_config",
     "dump_config",
@@ -74,43 +75,17 @@ class ImageGeometry:
 
 
 @dataclass(frozen=True)
-class LatentGeometry:
-    """Shape of a quantized latent; its bit size defines one uplink packet."""
-
-    channels: int
-    height: int
-    width: int
-
-    def __post_init__(self) -> None:
-        for name in ("channels", "height", "width"):
-            value = getattr(self, name)
-            _require(isinstance(value, int) and value > 0,
-                     f"latent.{name}={value!r} must be a positive integer")
-
-    def packet_bits(self, full_precision: int) -> int:
-        return self.channels * self.height * self.width * full_precision
-
-
-@dataclass(frozen=True)
 class RadioProfile:
-    """Radio front-end parameters.
-
-    ``slot_duration`` is bookkeeping only (no formula consumes it); when
-    omitted it is derived as packet time ``b_p / rate``.
-    """
+    """Radio front-end parameters."""
 
     tx_power: float = 0.108          # W
     rx_power: float = 0.0669         # W
     rate: float = 1e5                # bits/s, both link directions
-    slot_duration: Optional[float] = None  # s
 
     def __post_init__(self) -> None:
         _require(self.tx_power > 0, f"radio.tx_power={self.tx_power} must be > 0")
         _require(self.rx_power > 0, f"radio.rx_power={self.rx_power} must be > 0")
         _require(self.rate > 0, f"radio.rate={self.rate} must be > 0")
-        if self.slot_duration is not None:
-            _require(self.slot_duration > 0,
-                     f"radio.slot_duration={self.slot_duration} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -325,6 +300,12 @@ class ScenarioConfig:
                      f"{name}={value} outside [0, 1]")
         _require(self.compression_rate > 0,
                  f"compression_rate={self.compression_rate} must be > 0")
+        distance = fidelity_distance(self.compression_rate)
+        if self.penalty < distance:
+            warnings.warn(
+                f"penalty={self.penalty} is below the fidelity distance "
+                f"{distance}; losing an image then scores better than "
+                f"delivering it", stacklevel=3)
         _require(isinstance(self.query_length, int) and self.query_length >= 1,
                  f"query_length={self.query_length!r} must be an integer >= 1")
         if self.slots_per_frame is not None:
@@ -357,11 +338,6 @@ class ScenarioConfig:
         _require(self.model_noise > 0,
                  f"model_noise={self.model_noise} must be > 0")
 
-        if self.radio.slot_duration is None:
-            derived = packet_bits(self) / self.radio.rate
-            object.__setattr__(self, "radio",
-                               replace(self.radio, slot_duration=derived))
-
         # force L resolution errors to surface at construction time
         self.frame_slots()
 
@@ -389,17 +365,6 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
     if rate <= 0:
         raise ConfigError(f"compression_rate={rate} must be > 0")
     return rate * cfg.image.pixels
-
-
-def latent_geometry_for_rate(cfg: ScenarioConfig) -> LatentGeometry:
-    """A latent shape whose packet size realizes the configured rate.
-
-    The flat element count is the nearest integer to ``b_p / b_max``; the
-    resulting packet size matches ``packet_bits`` within one element's bits.
-    """
-    full = cfg.compressor_hw.full_precision
-    elements = max(1, round(packet_bits(cfg) / full))
-    return LatentGeometry(channels=1, height=1, width=elements)
 
 
 # --- configuration document handling ---------------------------------------
@@ -457,10 +422,8 @@ def _build_nested(name: str, cls: type, spec: Mapping[str, Any]):
     for key, raw in spec.items():
         if key not in field_types:
             raise ConfigError(f"unknown field {name}.{key}")
-        if key in ("slot_duration", "tx_bits") and raw is None:
-            kwargs[key] = None
-        elif key in ("channels", "height", "width", "full_precision",
-                     "sram_bits", "muac_bits", "parallelism", "tx_bits"):
+        if key in ("channels", "height", "width", "full_precision",
+                   "sram_bits", "muac_bits", "parallelism", "tx_bits"):
             kwargs[key] = _coerce_leaf(f"{name}.{key}", raw, int)
         else:
             kwargs[key] = _coerce_leaf(f"{name}.{key}", raw, float)

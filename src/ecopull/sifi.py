@@ -3,39 +3,19 @@
 The score runs over the images whose true similarity clears the server-side
 threshold: a delivered one contributes the compression's fidelity distance,
 a lost one the penalty, and the score is one minus their mean. With no such
-images the round scores a perfect 1.
+images the round scores a perfect 1. The simulator's round kernel computes
+it; this module holds the fidelity distance.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
-from typing import Iterable
-
 __all__ = [
     "FIDELITY_BASE",
-    "ImageRecord",
     "fidelity_distance",
-    "realized_sifi",
 ]
 
 # Fitted normalized perceptual distance of the generative compressor vs. rate.
 FIDELITY_BASE = 0.0725
-
-
-@dataclass(frozen=True)
-class ImageRecord:
-    """Outcome flags of one stored image in one round."""
-
-    true_similarity: float
-    observed_similarity: float
-    is_relevant: bool         # noisy score cleared the device threshold
-    is_actual_relevant: bool  # true similarity cleared the server threshold
-    delivered: bool           # transmitted and survived slot contention
-
-    def __post_init__(self) -> None:
-        if self.delivered and not self.is_relevant:
-            raise ValueError("only relevant images are transmitted")
 
 
 def fidelity_distance(rate: float) -> float:
@@ -43,26 +23,3 @@ def fidelity_distance(rate: float) -> float:
     if rate < 0:
         raise ValueError(f"rate={rate} must be >= 0")
     return FIDELITY_BASE ** rate
-
-
-def realized_sifi(records: Iterable[ImageRecord], penalty: float,
-                  rate: float) -> float:
-    """Score one round's outcomes; 1 when no image is actually relevant."""
-    if not 0.0 <= penalty <= 1.0:
-        raise ValueError(f"penalty={penalty} outside [0, 1]")
-    distance = fidelity_distance(rate)
-    if penalty < distance:
-        warnings.warn(
-            f"penalty={penalty} is below the fidelity distance {distance}; "
-            f"losing an image then scores better than delivering it",
-            stacklevel=2)
-    count = 0
-    loss = 0.0
-    for record in records:
-        if not record.is_actual_relevant:
-            continue
-        count += 1
-        loss += distance if record.delivered else penalty
-    if count == 0:
-        return 1.0
-    return 1.0 - loss / count

@@ -19,17 +19,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import ScenarioConfig, packet_bits
-from .energy import EnergyBreakdown, model_load_total
-from .hardware import inference_energy
-from .sifi import ImageRecord, fidelity_distance, realized_sifi
+from .config import ScenarioConfig
+from .energy import (_compression_energy, _uplink_energy,
+                     communication_energy, computation_energy)
+from .sifi import fidelity_distance
 
 __all__ = [
-    "DeviceState",
     "RoundOutcome",
     "RoundStats",
     "SimAggregate",
-    "draw_similarities",
     "run_round",
     "simulate",
 ]
@@ -37,26 +35,33 @@ __all__ = [
 SeedLike = Union[int, Sequence[int]]
 
 
-@dataclass
-class DeviceState:
-    """One device's scored images and its transmission queue."""
-
-    device_id: int
-    records: list[ImageRecord]
-    queue: list[int]  # indices of relevant images, in storage order
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundOutcome:
-    """Full record of one simulated round."""
+    """Arrays of one simulated round, indexed ``[device, image]`` or ``[device]``.
 
-    sifi: float
-    per_device_energy: list[EnergyBreakdown]
+    ``relevant`` marks images whose observed score cleared the device
+    threshold, ``actual`` those whose true similarity cleared the server
+    threshold, ``delivered`` those sent alone in their slot.
+    """
+
+    true_similarity: np.ndarray      # (K, N)
+    observed_similarity: np.ndarray  # (K, N)
+    relevant: np.ndarray             # (K, N) bool
+    actual: np.ndarray               # (K, N) bool
+    delivered: np.ndarray            # (K, N) bool
+    relevant_counts: np.ndarray      # (K,)
+    computation: np.ndarray          # (K,) J
+    communication: np.ndarray        # (K,) J
     frames_used: int
-    delivered_count: int
-    actual_relevant_count: int
-    relevant_counts: list[int]
-    records: list[list[ImageRecord]]
+    sifi: float
+
+    @property
+    def delivered_count(self) -> int:
+        return int(self.delivered.sum())
+
+    @property
+    def actual_relevant_count(self) -> int:
+        return int(self.actual.sum())
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,6 @@ class _Context:
     """Per-config constants hoisted out of the round loop."""
 
     def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
         self.devices = cfg.device_count
         self.images = cfg.images_per_device
         self.vth = cfg.relevance_threshold
@@ -101,38 +105,16 @@ class _Context:
         self.kd = fidelity_distance(cfg.compression_rate)
         self.gamma = cfg.penalty
         self.truth = cfg.truth_distribution
-        behavior = inference_energy(cfg.behavior_hw, cfg.behavior_model,
-                                    cfg.image)
-        self.comp_fixed = self.images * behavior + model_load_total(cfg)
-        self.comp_per_relevant = inference_energy(cfg.compressor_hw,
-                                                  cfg.compressor_model,
-                                                  cfg.image)
-        self.comm_fixed = (cfg.radio.rx_power
-                           * (cfg.behavior_model.size
-                              * cfg.behavior_model.tx_bits
-                              + cfg.query_length * cfg.behavior_hw.sram_bits)
-                           / cfg.radio.rate)
-        self.comm_per_tx = cfg.radio.tx_power * packet_bits(cfg) / cfg.radio.rate
+        self.comp_fixed = computation_energy(cfg, 0)
+        self.comp_per_relevant = _compression_energy(cfg)
+        self.comm_fixed = communication_energy(cfg, 0)
+        self.comm_per_tx = _uplink_energy(cfg)
 
 
-class _RoundData:
-    """Raw arrays of one round, shared by the fast and the record-building paths."""
-
-    __slots__ = ("beta", "observed", "relevant", "actual", "delivered",
-                 "relevant_counts", "attempted", "frames", "sifi",
-                 "computation", "communication")
-
-
-def _sample_scores(ctx: _Context, rng: np.random.Generator):
+def _run_round_core(ctx: _Context, rng: np.random.Generator) -> RoundOutcome:
     beta = np.asarray(ctx.truth.sample(rng, (ctx.devices, ctx.images)),
                       dtype=float)
     observed = beta + rng.normal(0.0, ctx.sigma, (ctx.devices, ctx.images))
-    return beta, observed
-
-
-def _run_round_core(ctx: _Context, rng: np.random.Generator) -> _RoundData:
-    data = _RoundData()
-    beta, observed = _sample_scores(ctx, rng)
     relevant = observed >= ctx.vth
     rel_counts = relevant.sum(axis=1)
     order_keys = rng.random((ctx.devices, ctx.images))
@@ -168,86 +150,33 @@ def _run_round_core(ctx: _Context, rng: np.random.Generator) -> _RoundData:
         sifi = 1.0 - (ctx.kd * delivered_actual
                       + ctx.gamma * (omega - delivered_actual)) / omega
 
-    data.beta = beta
-    data.observed = observed
-    data.relevant = relevant
-    data.actual = actual
-    data.delivered = delivered
-    data.relevant_counts = rel_counts
-    data.attempted = attempted
-    data.frames = horizon
-    data.sifi = sifi
-    data.computation = ctx.comp_fixed + rel_counts * ctx.comp_per_relevant
-    data.communication = ctx.comm_fixed + attempted * ctx.comm_per_tx
-    return data
-
-
-def draw_similarities(cfg: ScenarioConfig,
-                      rng: np.random.Generator) -> list[DeviceState]:
-    """Sample true and observed scores for every image; queue the relevant ones."""
-    ctx = _Context(cfg)
-    beta, observed = _sample_scores(ctx, rng)
-    states = []
-    for dev in range(ctx.devices):
-        records = [
-            ImageRecord(
-                true_similarity=float(beta[dev, img]),
-                observed_similarity=float(observed[dev, img]),
-                is_relevant=bool(observed[dev, img] >= ctx.vth),
-                is_actual_relevant=bool(beta[dev, img] >= ctx.delta),
-                delivered=False,
-            )
-            for img in range(ctx.images)
-        ]
-        queue = [img for img in range(ctx.images) if records[img].is_relevant]
-        states.append(DeviceState(device_id=dev, records=records, queue=queue))
-    return states
+    return RoundOutcome(
+        true_similarity=beta,
+        observed_similarity=observed,
+        relevant=relevant,
+        actual=actual,
+        delivered=delivered,
+        relevant_counts=rel_counts,
+        computation=ctx.comp_fixed + rel_counts * ctx.comp_per_relevant,
+        communication=ctx.comm_fixed + attempted * ctx.comm_per_tx,
+        frames_used=horizon,
+        sifi=sifi,
+    )
 
 
 def run_round(cfg: ScenarioConfig, seed: SeedLike) -> RoundOutcome:
-    """Simulate one full round and return its complete outcome record."""
-    ctx = _Context(cfg)
-    rng = np.random.default_rng(seed)
-    data = _run_round_core(ctx, rng)
-
-    records: list[list[ImageRecord]] = []
-    for dev in range(ctx.devices):
-        records.append([
-            ImageRecord(
-                true_similarity=float(data.beta[dev, img]),
-                observed_similarity=float(data.observed[dev, img]),
-                is_relevant=bool(data.relevant[dev, img]),
-                is_actual_relevant=bool(data.actual[dev, img]),
-                delivered=bool(data.delivered[dev, img]),
-            )
-            for img in range(ctx.images)
-        ])
-    energy = [
-        EnergyBreakdown(computation=float(data.computation[dev]),
-                        communication=float(data.communication[dev]))
-        for dev in range(ctx.devices)
-    ]
-    flat = [record for device in records for record in device]
-    sifi = realized_sifi(flat, ctx.gamma, cfg.compression_rate)
-    assert abs(sifi - data.sifi) < 1e-12
-    return RoundOutcome(
-        sifi=sifi,
-        per_device_energy=energy,
-        frames_used=data.frames,
-        delivered_count=int(data.delivered.sum()),
-        actual_relevant_count=int(data.actual.sum()),
-        relevant_counts=[int(c) for c in data.relevant_counts],
-        records=records,
-    )
+    """Simulate one round on ``default_rng(seed)``."""
+    return _run_round_core(_Context(cfg), np.random.default_rng(seed))
 
 
 def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
              keep_rounds: bool = False) -> SimAggregate:
     """Average many independent rounds.
 
-    Round ``i`` runs on its own generator seeded by ``(seed, i)``, so results
-    are reproducible and ``rounds=1`` reproduces ``run_round(cfg, (seed, 0))``
-    exactly. Accumulation is in round order, keeping aggregates bitwise stable.
+    Round ``i`` is ``run_round(cfg, (seed, i))``: the same kernel on a
+    generator seeded by ``(seed, i)``, so ``rounds=1`` reproduces
+    ``run_round(cfg, (seed, 0))`` exactly. Accumulation is in round order,
+    keeping aggregates bitwise stable.
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be >= 1")
@@ -262,21 +191,21 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     detail: Optional[list[RoundStats]] = [] if keep_rounds else None
     for index in range(rounds):
         rng = np.random.default_rng((seed, index))
-        data = _run_round_core(ctx, rng)
-        mean_energy = float(np.mean(data.computation + data.communication))
-        sifi_sum += data.sifi
-        sifi_sq += data.sifi * data.sifi
+        out = _run_round_core(ctx, rng)
+        mean_energy = float(np.mean(out.computation + out.communication))
+        sifi_sum += out.sifi
+        sifi_sq += out.sifi * out.sifi
         energy_sum += mean_energy
         energy_sq += mean_energy * mean_energy
-        delivered_sum += int(data.delivered.sum())
-        omega_sum += int(data.actual.sum())
-        frames_sum += data.frames
+        delivered_sum += out.delivered_count
+        omega_sum += out.actual_relevant_count
+        frames_sum += out.frames_used
         if detail is not None:
-            detail.append(RoundStats(index=index, sifi=data.sifi,
+            detail.append(RoundStats(index=index, sifi=out.sifi,
                                      mean_device_energy=mean_energy,
-                                     delivered=int(data.delivered.sum()),
-                                     actual_relevant=int(data.actual.sum()),
-                                     frames=data.frames))
+                                     delivered=out.delivered_count,
+                                     actual_relevant=out.actual_relevant_count,
+                                     frames=out.frames_used))
     mean_sifi = sifi_sum / rounds
     mean_energy = energy_sum / rounds
     return SimAggregate(

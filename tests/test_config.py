@@ -6,8 +6,8 @@ import pytest
 from scipy.stats import chisquare
 
 from ecopull import (BetaTruth, ConfigError, TruthDistribution, UniformTruth,
-                     apply_overrides, dump_config, latent_geometry_for_rate,
-                     load_config, packet_bits, save_config, slots_for_rate)
+                     apply_overrides, dump_config, load_config, packet_bits,
+                     save_config, slots_for_rate)
 
 
 def test_empty_document_gives_experiment_defaults():
@@ -160,14 +160,6 @@ def test_bad_beta_spec_rejected():
                                             "beta": 2.0}})
 
 
-def test_latent_geometry_matches_rate_within_one_element():
-    for rate in (0.73, 1.0, 2.0, 4.86):
-        cfg = load_config({"compression_rate": rate})
-        latent = latent_geometry_for_rate(cfg)
-        full = cfg.compressor_hw.full_precision
-        assert abs(latent.packet_bits(full) - packet_bits(cfg)) <= full
-
-
 def test_slot_resolution():
     assert slots_for_rate(1.2, 5) == 25
     assert slots_for_rate(4.86, 5) == 5
@@ -194,8 +186,6 @@ def test_apply_overrides_paths():
         apply_overrides({}, ["oops"])
 
 
-def test_slot_duration_defaults_to_packet_time():
-    cfg = load_config({"compression_rate": 2.0})
-    assert cfg.radio.slot_duration == pytest.approx(614400.0 / 1e5)
-    explicit = load_config({"radio": {"slot_duration": 3.0}})
-    assert explicit.radio.slot_duration == 3.0
+def test_slot_duration_rejected_as_unknown_field():
+    with pytest.raises(ConfigError, match="radio.slot_duration"):
+        load_config({"radio": {"slot_duration": 3.0}})

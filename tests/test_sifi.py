@@ -1,13 +1,8 @@
+import warnings
+
 import pytest
 
-from ecopull import ImageRecord, fidelity_distance, realized_sifi
-
-
-def record(beta, delivered, vth=0.6, delta=0.9):
-    s = beta  # noiseless stand-in
-    return ImageRecord(true_similarity=beta, observed_similarity=s,
-                       is_relevant=s >= vth, is_actual_relevant=beta >= delta,
-                       delivered=delivered)
+from ecopull import fidelity_distance, load_config, run_round
 
 
 def test_fidelity_distance_values():
@@ -19,62 +14,61 @@ def test_fidelity_distance_values():
 
 
 def test_no_actual_relevant_scores_one():
-    records = [record(0.5, False), record(0.7, True, vth=0.6)]
-    assert realized_sifi(records, 1.0, 2.0) == 1.0
+    cfg = load_config({"truth_threshold": 1.0})
+    for index in range(5):
+        out = run_round(cfg, (1, index))
+        assert out.actual_relevant_count == 0
+        assert out.sifi == 1.0
 
 
 def test_all_delivered_at_negligible_distance_scores_one():
-    records = [record(0.95, True), record(0.99, True)]
-    assert realized_sifi(records, 1.0, 200.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mixed_outcome_reference_value():
-    records = [record(0.95, True), record(0.93, False)]
-    assert realized_sifi(records, 1.0, 1.0) == pytest.approx(0.46375,
-                                                             rel=1e-12)
+    # one device never collides; every image is actually relevant
+    cfg = load_config({"device_count": 1, "images_per_device": 10,
+                       "relevance_threshold": 0.0, "truth_threshold": 0.0,
+                       "model_noise": 1e-12, "compression_rate": 200.0})
+    out = run_round(cfg, 4)
+    assert out.delivered_count == 10
+    assert out.sifi == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.filterwarnings("ignore:penalty")
 def test_score_stays_in_unit_interval():
-    cases = [
-        [record(0.95, d1), record(0.91, d2), record(0.99, d3)]
-        for d1 in (False, True) for d2 in (False, True)
-        for d3 in (False, True)
-    ]
-    for gamma in (0.2, 0.9, 1.0):
-        for rate in (0.0, 1.0, 3.0):
-            for records in cases:
-                value = realized_sifi(records, gamma, rate)
-                assert 0.0 <= value <= 1.0
+    for gamma in (0.0, 0.2, 1.0):
+        for rate in (0.1, 1.0, 3.0):
+            cfg = load_config({"penalty": gamma, "compression_rate": rate,
+                               "images_per_device": 20})
+            for index in range(10):
+                assert 0.0 <= run_round(cfg, (2, index)).sifi <= 1.0
 
 
 def test_delivering_more_never_hurts_when_penalty_dominates():
-    worse = [record(0.95, False), record(0.93, False), record(0.99, True)]
-    better = [record(0.95, True), record(0.93, False), record(0.99, True)]
-    for rate in (0.5, 1.0, 2.0):
-        assert (realized_sifi(better, 1.0, rate)
-                >= realized_sifi(worse, 1.0, rate))
+    # the slot draws come last, so both configs share every other draw;
+    # with many slots nothing collides and every relevant image arrives
+    spec = {"device_count": 3, "images_per_device": 8,
+            "slot_coefficient": None}
+    crowded = load_config(dict(spec, slots_per_frame=2))
+    roomy = load_config(dict(spec, slots_per_frame=10_000))
+    for index in range(20):
+        few = run_round(crowded, (3, index))
+        many = run_round(roomy, (3, index))
+        assert (many.delivered == many.relevant).all()
+        assert many.sifi >= few.sifi
 
 
 def test_score_nondecreasing_in_rate_at_fixed_outcomes():
-    records = [record(0.95, True), record(0.93, False), record(0.99, True)]
-    values = [realized_sifi(records, 1.0, r) for r in (0.5, 1.0, 2.0, 4.0)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
+    # an explicit slot count makes the outcomes independent of the rate
+    for index in range(10):
+        values = []
+        for rate in (0.5, 1.0, 2.0, 4.0):
+            cfg = load_config({"compression_rate": rate, "slots_per_frame": 4,
+                               "slot_coefficient": None})
+            values.append(run_round(cfg, (5, index)).sifi)
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_penalty_below_distance_warns():
-    records = [record(0.95, True)]
     with pytest.warns(UserWarning, match="penalty"):
-        realized_sifi(records, 0.01, 0.5)  # distance 0.0725^0.5 ~ 0.27
-
-
-def test_penalty_bounds_checked():
-    with pytest.raises(ValueError, match="penalty"):
-        realized_sifi([], 1.5, 1.0)
-
-
-def test_delivered_requires_relevant():
-    with pytest.raises(ValueError, match="relevant"):
-        ImageRecord(true_similarity=0.95, observed_similarity=0.2,
-                    is_relevant=False, is_actual_relevant=True,
-                    delivered=True)
+        load_config({"penalty": 0.01, "compression_rate": 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        load_config()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ecopull import (draw_similarities, fidelity_distance, load_config, p_th,
+from ecopull import (device_energy, fidelity_distance, load_config, p_th,
                      run_round, simulate)
 
 
@@ -41,31 +41,53 @@ def reference_round(cfg, rng):
     return sifi, total_delivered
 
 
+def per_image_sifi(cfg, out):
+    """Score a round image by image from its arrays, apart from the kernel."""
+    distance = fidelity_distance(cfg.compression_rate)
+    count, loss = 0, 0.0
+    for dev in range(cfg.device_count):
+        for img in range(cfg.images_per_device):
+            if out.actual[dev, img]:
+                count += 1
+                loss += distance if out.delivered[dev, img] else cfg.penalty
+    return 1.0 if count == 0 else 1.0 - loss / count
+
+
 def test_degenerate_noise_reproduces_truth():
     cfg = load_config({"model_noise": 1e-300, "images_per_device": 50})
-    states = draw_similarities(cfg, np.random.default_rng(3))
-    for device in states:
-        for rec in device.records:
-            assert rec.observed_similarity == pytest.approx(
-                rec.true_similarity, abs=1e-290)
-            assert rec.is_relevant == (rec.true_similarity
-                                       >= cfg.relevance_threshold)
+    out = run_round(cfg, 3)
+    np.testing.assert_allclose(out.observed_similarity, out.true_similarity,
+                               rtol=0.0, atol=1e-290)
+    np.testing.assert_array_equal(
+        out.relevant, out.true_similarity >= cfg.relevance_threshold)
 
 
 def test_zero_threshold_queues_everything():
     cfg = load_config({"relevance_threshold": 0.0, "model_noise": 1e-12,
                        "images_per_device": 40})
-    states = draw_similarities(cfg, np.random.default_rng(11))
-    for device in states:
-        assert len(device.queue) == cfg.images_per_device
+    out = run_round(cfg, 11)
+    assert out.relevant.all()
+    assert list(out.relevant_counts) == [40] * cfg.device_count
 
 
-def test_queue_subset_of_relevant():
+def test_delivered_subset_of_relevant():
     cfg = load_config({"images_per_device": 30})
-    states = draw_similarities(cfg, np.random.default_rng(7))
-    for device in states:
-        for index in device.queue:
-            assert device.records[index].is_relevant
+    for index in range(20):
+        out = run_round(cfg, (7, index))
+        assert not (out.delivered & ~out.relevant).any()
+
+
+@pytest.mark.filterwarnings("ignore:penalty")
+@pytest.mark.parametrize("spec", [
+    {},
+    {"truth_threshold": 1.0},
+    {"penalty": 0.001},
+], ids=["default", "no-actual-relevant", "penalty-below-distance"])
+def test_score_matches_per_image_sum(spec):
+    cfg = load_config(spec)
+    for index in range(60):
+        out = run_round(cfg, (17, index))
+        assert out.sifi == pytest.approx(per_image_sifi(cfg, out), abs=1e-12)
 
 
 def test_empirical_relevance_rate_matches_quadrature():
@@ -145,24 +167,23 @@ def test_round_outcome_invariants(small_cfg):
         out = run_round(small_cfg, (55, index))
         assert out.frames_used == max(out.relevant_counts, default=0)
         assert out.delivered_count <= sum(out.relevant_counts)
-        assert out.actual_relevant_count == sum(
-            rec.is_actual_relevant for dev in out.records for rec in dev)
-        for device in out.records:
-            for rec in device:
-                if rec.delivered:
-                    assert rec.is_relevant
+        np.testing.assert_array_equal(out.relevant_counts,
+                                      out.relevant.sum(axis=1))
+        np.testing.assert_array_equal(
+            out.actual, out.true_similarity >= small_cfg.truth_threshold)
+        assert out.actual_relevant_count == int(np.count_nonzero(out.actual))
+        assert not (out.delivered & ~out.relevant).any()
         assert 0.0 <= out.sifi <= 1.0
 
 
 def test_energy_accounting_per_round(small_cfg):
-    from ecopull import device_energy
     out = run_round(small_cfg, 8)
-    for count, split in zip(out.relevant_counts, out.per_device_energy):
-        expected = device_energy(small_cfg, count)
-        assert split.computation == pytest.approx(expected.computation,
-                                                  rel=1e-12)
-        assert split.communication == pytest.approx(expected.communication,
-                                                    rel=1e-12)
+    for dev, count in enumerate(out.relevant_counts):
+        expected = device_energy(small_cfg, int(count))
+        assert out.computation[dev] == pytest.approx(expected.computation,
+                                                     rel=1e-12)
+        assert out.communication[dev] == pytest.approx(
+            expected.communication, rel=1e-12)
 
 
 def test_fixed_frame_horizon_caps_attempts():
@@ -188,13 +209,14 @@ def test_simulation_is_deterministic(small_cfg):
     assert different.mean_sifi != first.mean_sifi
 
 
-def test_single_round_equals_run_round(small_cfg):
-    agg = simulate(small_cfg, 1, 91)
-    out = run_round(small_cfg, (91, 0))
-    assert agg.mean_sifi == out.sifi
-    assert agg.mean_total_energy == pytest.approx(
-        np.mean([e.total for e in out.per_device_energy]), rel=1e-12)
-    assert agg.mean_frames == out.frames_used
+def test_single_round_equals_run_round(default_cfg):
+    for seed in range(20):
+        agg = simulate(default_cfg, 1, seed)
+        out = run_round(default_cfg, (seed, 0))
+        assert agg.mean_sifi == out.sifi
+        assert agg.mean_frames == out.frames_used
+        assert agg.mean_total_energy == float(
+            np.mean(out.computation + out.communication))
 
 
 def test_rounds_must_be_positive(small_cfg):
