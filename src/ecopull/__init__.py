@@ -12,7 +12,7 @@ from .analytic import (ChainResult, McmcResult, compositions,
                        expected_sifi_exact, expected_sifi_mcmc,
                        mcmc_expected_sifi, omega_nonempty_probability,
                        p_delta, realization_pmf, run_chain, sifi_affine)
-from .baselines import (BaselineAssumptions, SchemeKind, baseline_energy,
+from .baselines import (BaselineAssumptions, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
 from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
                      ModelCost, PNG_BPP, RadioProfile, ScenarioConfig,

@@ -12,26 +12,18 @@ next to any comparison output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .config import PNG_BPP, ScenarioConfig
 from .energy import p_th
 from .hardware import inference_energy, model_load_energy
 
 __all__ = [
-    "SchemeKind",
     "BaselineAssumptions",
     "png_packet_bits",
     "baseline_energy",
     "tinyairnet_energy",
     "energy_saving_ratio",
 ]
-
-
-class SchemeKind(Enum):
-    ECOPULL = "ecopull"
-    TINYAIRNET = "tinyairnet"
-    BASELINE = "baseline"
 
 
 @dataclass(frozen=True)

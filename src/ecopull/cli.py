@@ -9,14 +9,13 @@ a fixed seed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .analytic import expected_sifi_exact, mcmc_expected_sifi
-from .config import (ConfigError, ScenarioConfig, apply_overrides,
-                     dump_config, load_config)
+from .config import (ConfigError, ScenarioConfig, _parse_json,
+                     apply_overrides, dump_config, load_config)
 from .energy import (communication_energy, computation_energy,
                      expected_total_energy, p_th)
 from .experiments import (SweepSpec, compare_schemes, optimize,
@@ -122,9 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args) -> ScenarioConfig:
     spec = {}
     if args.config:
-        spec = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(spec, dict):
-            raise ConfigError("configuration document must be a JSON object")
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {args.config}: {exc}") from exc
+        spec = _parse_json(text)
     apply_overrides(spec, args.overrides)
     return load_config(spec)
 

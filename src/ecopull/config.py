@@ -1,17 +1,18 @@
-"""Scenario configuration: domain types, defaults, validation, file I/O.
+"""Scenario configuration: domain types, defaults, validation, documents.
 
 All quantities are stored in SI base units (joules, watts, seconds, bits).
 Configs are immutable after construction and safe to share across workers;
 random state is never stored here.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, fields
-from typing import IO, Any, Iterable, Mapping, Optional, Union
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
+from functools import lru_cache, partial
+from typing import (Any, Iterable, Mapping, Optional, Union, get_args,
+                    get_origin, get_type_hints)
 
 import numpy as np
 from scipy.integrate import quad
@@ -166,22 +167,6 @@ class TruthDistribution:
         _require(bool(np.all(np.diff(values) >= -atol)),
                  "truth_distribution cdf is not nondecreasing")
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_spec(spec: Mapping[str, Any]) -> "TruthDistribution":
-        kind = spec.get("kind")
-        if kind == "uniform":
-            return UniformTruth()
-        if kind == "beta":
-            try:
-                return BetaTruth(float(spec["alpha"]), float(spec["beta"]))
-            except KeyError as exc:
-                raise ConfigError(
-                    f"truth_distribution kind 'beta' needs field {exc}") from exc
-        raise ConfigError(f"unknown truth_distribution kind {kind!r}")
-
 
 @dataclass(frozen=True)
 class UniformTruth(TruthDistribution):
@@ -198,9 +183,6 @@ class UniformTruth(TruthDistribution):
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.random(size)
-
-    def to_spec(self) -> dict:
-        return {"kind": "uniform"}
 
 
 @dataclass(frozen=True)
@@ -227,27 +209,19 @@ class BetaTruth(TruthDistribution):
     def sample(self, rng: np.random.Generator, size=None):
         return rng.beta(self.alpha, self.beta, size)
 
-    def to_spec(self) -> dict:
-        return {"kind": "beta", "alpha": self.alpha, "beta": self.beta}
+
+_TRUTH_KINDS = {cls.kind: cls for cls in (UniformTruth, BetaTruth)}
 
 
-def _default_behavior_hw() -> HardwareProfile:
-    return HardwareProfile(full_precision=16, sram_bits=8, muac_bits=16,
-                           parallelism=128)
-
-
-def _default_compressor_hw() -> HardwareProfile:
-    return HardwareProfile(full_precision=16, sram_bits=16, muac_bits=16,
-                           parallelism=64)
-
-
-def _default_behavior_model() -> ModelCost:
-    return ModelCost(complexity=117e6, size=0.976e6, activations=4.309e6,
-                     tx_bits=8)
-
-
-def _default_compressor_model() -> ModelCost:
-    return ModelCost(complexity=477e6, size=0.0184e6, activations=3.54e6)
+def _warn_if_penalty_below_distance(penalty: float, rate: float,
+                                    stacklevel: int) -> None:
+    """Warn when losing an image at ``rate`` scores better than delivering it."""
+    distance = fidelity_distance(rate)
+    if penalty < distance:
+        warnings.warn(
+            f"penalty={penalty} is below the fidelity distance {distance}; "
+            f"losing an image then scores better than delivering it",
+            stacklevel=stacklevel)
 
 
 def slots_for_rate(rate: float, slot_coefficient: int) -> int:
@@ -281,10 +255,14 @@ class ScenarioConfig:
     single_sram_load: bool = False       # charge both weight pools at behavior SRAM width
     radio: RadioProfile = field(default_factory=RadioProfile)
     image: ImageGeometry = field(default_factory=ImageGeometry)
-    behavior_hw: HardwareProfile = field(default_factory=_default_behavior_hw)
-    compressor_hw: HardwareProfile = field(default_factory=_default_compressor_hw)
-    behavior_model: ModelCost = field(default_factory=_default_behavior_model)
-    compressor_model: ModelCost = field(default_factory=_default_compressor_model)
+    behavior_hw: HardwareProfile = field(default_factory=HardwareProfile)
+    compressor_hw: HardwareProfile = field(default_factory=partial(
+        HardwareProfile, sram_bits=16, parallelism=64))
+    behavior_model: ModelCost = field(default_factory=partial(
+        ModelCost, complexity=117e6, size=0.976e6, activations=4.309e6,
+        tx_bits=8))
+    compressor_model: ModelCost = field(default_factory=partial(
+        ModelCost, complexity=477e6, size=0.0184e6, activations=3.54e6))
     truth_distribution: TruthDistribution = field(default_factory=UniformTruth)
 
     def __post_init__(self) -> None:
@@ -300,12 +278,8 @@ class ScenarioConfig:
                      f"{name}={value} outside [0, 1]")
         _require(self.compression_rate > 0,
                  f"compression_rate={self.compression_rate} must be > 0")
-        distance = fidelity_distance(self.compression_rate)
-        if self.penalty < distance:
-            warnings.warn(
-                f"penalty={self.penalty} is below the fidelity distance "
-                f"{distance}; losing an image then scores better than "
-                f"delivering it", stacklevel=3)
+        _warn_if_penalty_below_distance(self.penalty, self.compression_rate,
+                                        stacklevel=4)
         _require(isinstance(self.query_length, int) and self.query_length >= 1,
                  f"query_length={self.query_length!r} must be an integer >= 1")
         if self.slots_per_frame is not None:
@@ -368,35 +342,25 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
 
 
 # --- configuration document handling ---------------------------------------
-
-_LEAF_TYPES = {
-    "device_count": int,
-    "images_per_device": int,
-    "relevance_threshold": float,
-    "truth_threshold": float,
-    "compression_rate": float,
-    "slots_per_frame": int,
-    "slot_coefficient": int,
-    "penalty": float,
-    "model_noise": float,
-    "query_length": int,
-    "fixed_frames": int,
-    "single_sram_load": bool,
-}
-
-_NESTED_TYPES = {
-    "radio": RadioProfile,
-    "image": ImageGeometry,
-    "behavior_hw": HardwareProfile,
-    "compressor_hw": HardwareProfile,
-    "behavior_model": ModelCost,
-    "compressor_model": ModelCost,
-}
+#
+# The dataclass annotations are the document schema: a leaf is coerced to
+# its annotated int, float or bool (None only where it is Optional), a
+# nested mapping updates the ScenarioConfig field's own default, and a
+# truth_distribution mapping builds the class its "kind" names. This module
+# keeps its annotations evaluated, so reading them needs no string eval.
 
 
-def _coerce_leaf(name: str, value: Any, target: type) -> Any:
-    if value is None:
-        return None
+@lru_cache(maxsize=None)
+def _field_hints(cls: type) -> dict[str, Any]:
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _coerce_leaf(name: str, value: Any, target: Any) -> Any:
+    if get_origin(target) is Union:                 # Optional[X]
+        if value is None:
+            return None
+        target = next(arg for arg in get_args(target) if arg is not type(None))
     if target is bool:
         if isinstance(value, bool):
             return value
@@ -416,94 +380,78 @@ def _coerce_leaf(name: str, value: Any, target: type) -> Any:
     return value
 
 
-def _build_nested(name: str, cls: type, spec: Mapping[str, Any]):
-    field_types = {f.name: f.type for f in fields(cls)}
+def _build(cls: type, spec: Any, path: str = "", base: Any = None) -> Any:
+    """``cls`` built from ``spec``, or ``base`` updated by it."""
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"{path or 'configuration document'} must be a "
+                          f"mapping")
+    hints = _field_hints(cls)
     kwargs = {}
     for key, raw in spec.items():
-        if key not in field_types:
-            raise ConfigError(f"unknown field {name}.{key}")
-        if key in ("channels", "height", "width", "full_precision",
-                   "sram_bits", "muac_bits", "parallelism", "tx_bits"):
-            kwargs[key] = _coerce_leaf(f"{name}.{key}", raw, int)
+        name = f"{path}.{key}" if path else key
+        if key not in hints:
+            raise ConfigError(f"unknown field {name}")
+        target = hints[key]
+        if target is TruthDistribution:
+            kwargs[key] = _build_truth(raw, name)
+        elif is_dataclass(target):
+            default = cls.__dataclass_fields__[key].default_factory()
+            kwargs[key] = _build(target, raw, name, default)
         else:
-            kwargs[key] = _coerce_leaf(f"{name}.{key}", raw, float)
-    return cls(**kwargs)
-
-
-def load_config(source: Union[str, bytes, Mapping[str, Any], IO[str], "os.PathLike[str]", None] = None) -> ScenarioConfig:
-    """Build a validated config from a JSON document, dict, path, or file.
-
-    Missing fields take the default experiment values; unknown fields and
-    out-of-range values raise :class:`ConfigError` naming the field.
-    ``None`` or an empty document yields the default configuration.
-    """
-    if source is None:
-        spec: Mapping[str, Any] = {}
-    elif isinstance(source, Mapping):
-        spec = source
-    elif hasattr(source, "read"):
-        spec = _parse_json(source.read())
-    else:
-        text = source
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        if isinstance(text, str) and not text.lstrip().startswith("{") and "\n" not in text.strip():
-            try:
-                with open(text, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except FileNotFoundError:
-                pass
-        elif not isinstance(text, str):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        spec = _parse_json(text)
-
-    if not isinstance(spec, Mapping):
-        raise ConfigError("configuration document must be a JSON object")
-
-    kwargs: dict[str, Any] = {}
-    for key, raw in spec.items():
-        if key in _LEAF_TYPES:
-            kwargs[key] = _coerce_leaf(key, raw, _LEAF_TYPES[key])
-        elif key in _NESTED_TYPES:
-            if not isinstance(raw, Mapping):
-                raise ConfigError(f"{key} must be a mapping")
-            kwargs[key] = _build_nested(key, _NESTED_TYPES[key], raw)
-        elif key == "truth_distribution":
-            if not isinstance(raw, Mapping):
-                raise ConfigError("truth_distribution must be a mapping")
-            kwargs[key] = TruthDistribution.from_spec(raw)
-        else:
-            raise ConfigError(f"unknown field {key}")
+            kwargs[key] = _coerce_leaf(name, raw, target)
     try:
-        return ScenarioConfig(**kwargs)
-    except ConfigError:
-        raise
+        return cls(**kwargs) if base is None else replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+        message = str(exc)
+        if not message.startswith(path):       # name the field once
+            message = f"{path}: {message}"
+        raise ConfigError(message) from exc
 
 
-def _parse_json(text: str) -> Any:
+def _build_truth(spec: Any, path: str) -> TruthDistribution:
+    if not isinstance(spec, Mapping):
+        raise ConfigError(f"{path} must be a mapping")
+    params = dict(spec)
+    kind = params.pop("kind", None)
+    if not isinstance(kind, str) or kind not in _TRUTH_KINDS:
+        raise ConfigError(f"unknown {path} kind {kind!r}")
+    return _build(_TRUTH_KINDS[kind], params, path)
+
+
+def _parse_json(text: str) -> dict:
+    """A configuration document's JSON text as a dict; blank text is ``{}``."""
     if not text.strip():
         return {}
     try:
-        return json.loads(text)
+        spec = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed configuration document: {exc}") from exc
+    if not isinstance(spec, dict):
+        raise ConfigError("configuration document must be a JSON object")
+    return spec
+
+
+def load_config(source: Union[str, Mapping[str, Any], None] = None
+                ) -> ScenarioConfig:
+    """Build a validated config from a mapping, JSON text or ``None``.
+
+    Missing fields take the default experiment values, and a nested mapping
+    updates only the fields it names. Unknown fields and out-of-range
+    values raise :class:`ConfigError` naming the field. ``None`` or an
+    empty document yields the default configuration.
+    """
+    if source is None:
+        source = {}
+    elif isinstance(source, str):
+        source = _parse_json(source)
+    return _build(ScenarioConfig, source)
 
 
 def save_config(cfg: ScenarioConfig) -> dict:
     """Config as a plain dict that :func:`load_config` accepts unchanged."""
-    out: dict[str, Any] = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, TruthDistribution):
-            out[f.name] = value.to_spec()
-        elif isinstance(value, (RadioProfile, ImageGeometry, HardwareProfile,
-                                ModelCost)):
-            out[f.name] = asdict(value)
-        else:
-            out[f.name] = value
+    out = asdict(cfg)
+    truth = cfg.truth_distribution
+    out["truth_distribution"] = {"kind": truth.kind, **asdict(truth)}
     return out
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .analytic import expected_sifi_mcmc, expected_sifi_over_rates
 from .baselines import (BaselineAssumptions, baseline_energy,
                         energy_saving_ratio, tinyairnet_energy)
-from .config import ScenarioConfig, slots_for_rate
-from .energy import expected_energy_over_rates, expected_total_energy
+from .config import ScenarioConfig, _warn_if_penalty_below_distance
+from .energy import expected_energy_over_rates
 from .sim import simulate
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "OptimizationResult",
     "CompareRow",
     "CompareResult",
-    "slots_for_rate",
     "sweep_sifi_vs_rate",
     "default_vth_grid",
     "default_rate_grid",
@@ -43,20 +42,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One parameter sweep: grid, evaluation mode, and sampling effort."""
+    """One compression-rate sweep: grid, evaluation mode, and sampling effort."""
 
     config: ScenarioConfig
     grid: tuple[float, ...]
-    parameter: str = "compression_rate"
     mode: str = "mcmc"              # mcmc | simulate | exact | both
     rounds: int = 10_000            # simulation rounds per point
     samples: int = 10_000           # chain length per point
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.parameter != "compression_rate":
-            raise ValueError(
-                f"unsupported sweep parameter {self.parameter!r}")
         if not self.grid:
             raise ValueError("sweep grid must be nonempty")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
@@ -75,18 +70,14 @@ class SweepRow:
     sifi_exact: Optional[float] = None
 
 
-def _config_at_rate(cfg: ScenarioConfig, rate: float) -> ScenarioConfig:
-    # explicit slot counts stay fixed; otherwise L follows the rate
-    return replace(cfg, compression_rate=rate)
-
-
 def sweep_sifi_vs_rate(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the score across compression rates, one row per grid point."""
     exact_scores = (expected_sifi_over_rates(spec.config, spec.grid)
                     if spec.mode == "exact" else [None] * len(spec.grid))
     rows = []
     for rate, exact in zip(spec.grid, exact_scores):
-        cfg = _config_at_rate(spec.config, rate)
+        # explicit slot counts stay fixed; otherwise L follows the rate
+        cfg = replace(spec.config, compression_rate=rate)
         slots = cfg.frame_slots()
         mcmc = sim = stderr = None
         if spec.mode in ("mcmc", "both"):
@@ -153,7 +144,8 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     config at that point, computed one threshold at a time. Ties break
     deterministically: lowest energy, then highest score, then smallest
     rate, then smallest threshold. An empty feasible set is reported, not
-    raised.
+    raised. Like a config, it warns when the penalty is below the fidelity
+    distance of its smallest rate.
     """
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError(f"gamma_th={gamma_th} outside [0, 1]")
@@ -162,6 +154,9 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     vth_grid = tuple(vth_grid) if vth_grid is not None else default_vth_grid()
     rate_grid = (tuple(rate_grid) if rate_grid is not None
                  else default_rate_grid())
+    if rate_grid:
+        _warn_if_penalty_below_distance(cfg.penalty, min(rate_grid),
+                                        stacklevel=3)
 
     slot_grid = [cfg.frame_slots(rate) for rate in rate_grid]
     points: list[GridPoint] = []
@@ -243,10 +238,7 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
                 energy_baseline=baseline_energy(base_cfg, assumptions),
                 feasible=False))
             continue
-        chosen = replace(base_cfg,
-                         relevance_threshold=result.relevance_threshold,
-                         compression_rate=result.rate)
-        eco = expected_total_energy(chosen, form="closed")
+        eco = result.energy
         tiny = tinyairnet_energy(base_cfg, assumptions)
         base = baseline_energy(base_cfg, assumptions)
         rows.append(CompareRow(

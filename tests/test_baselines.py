@@ -1,13 +1,8 @@
 import pytest
 
-from ecopull import (BaselineAssumptions, SchemeKind, baseline_energy,
+from ecopull import (BaselineAssumptions, baseline_energy,
                      energy_saving_ratio, expected_total_energy, load_config,
                      p_th, tinyairnet_energy)
-
-
-def test_scheme_kinds_are_closed():
-    assert {kind.value for kind in SchemeKind} == {"ecopull", "tinyairnet",
-                                                   "baseline"}
 
 
 def test_baseline_energy_single_image():

@@ -143,6 +143,44 @@ def test_energy_commands_match_simulation_under_frame_cap(capsys):
     assert abs(float(total.split(",")[1]) - simulated) < margin
 
 
+def test_partial_nested_override_at_its_default_changes_nothing(capsys):
+    rc, plain, _ = run_cli(capsys, "energy-breakdown")
+    assert rc == 0
+    rc, override, _ = run_cli(capsys, "energy-breakdown", "--set",
+                              "compressor_hw.parallelism=64")
+    assert rc == 0
+    assert override == plain
+
+
+def test_partial_behavior_model_override_runs(capsys):
+    rc, out, _ = run_cli(capsys, "simulate", "--rounds", "5", "--set",
+                         "behavior_model.tx_bits=4",
+                         "--set", "images_per_device=5")
+    assert rc == 0
+    assert out.strip().splitlines()[-1].startswith("aggregate,5,")
+
+
+@pytest.mark.parametrize("content", ["{not json", None, "[1, 2]"],
+                         ids=["malformed", "missing", "list"])
+def test_bad_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    rc, _, err = run_cli(capsys, "print-config", "--config", str(path))
+    assert rc == 2
+    assert "configuration error" in err
+
+
+def test_config_file_is_read(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"device_count": 7}', encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "print-config", "--config", str(path),
+                         "--set", "radio.rate=2e5")
+    assert rc == 0
+    cfg = load_config(out)
+    assert (cfg.device_count, cfg.radio.rate) == (7, 2e5)
+
+
 def test_config_errors_exit_code(capsys):
     rc, _, err = run_cli(capsys, "print-config", "--set",
                          "relevance_threshold=2.0")

@@ -189,3 +189,43 @@ def test_apply_overrides_paths():
 def test_slot_duration_rejected_as_unknown_field():
     with pytest.raises(ConfigError, match="radio.slot_duration"):
         load_config({"radio": {"slot_duration": 3.0}})
+
+
+def test_partial_nested_mapping_keeps_the_field_defaults():
+    # parallelism=64 is the compressor's default; sram_bits must stay 16
+    cfg = load_config({"compressor_hw": {"parallelism": 64}})
+    assert cfg == load_config()
+    assert cfg.compressor_hw.sram_bits == 16
+
+
+def test_partial_behavior_model_keeps_its_costs():
+    default = load_config().behavior_model
+    model = load_config({"behavior_model": {"tx_bits": 4}})
+    assert model.model_noise == 0.25
+    assert model.behavior_model == dataclasses.replace(default, tx_bits=4)
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"kind": "uniform", "alpha": 1}, "alpha"),
+    ({"kind": "beta", "alpha": 2.0, "beta": 5.0, "gamma": 1.0}, "gamma"),
+])
+def test_unknown_truth_field_rejected(spec, field):
+    with pytest.raises(ConfigError,
+                       match=f"unknown field truth_distribution.{field}"):
+        load_config({"truth_distribution": spec})
+
+
+def test_beta_spec_without_beta_names_the_field():
+    with pytest.raises(ConfigError, match="truth_distribution"):
+        load_config({"truth_distribution": {"kind": "beta", "alpha": 2.0}})
+
+
+def test_none_rejected_where_the_field_is_not_optional():
+    with pytest.raises(ConfigError, match="penalty=None"):
+        load_config({"penalty": None})
+    assert load_config({"model_noise": None}) == load_config()
+
+
+def test_nested_error_names_the_field():
+    with pytest.raises(ConfigError, match="compressor_hw: hw.sram_bits"):
+        load_config({"compressor_hw": {"sram_bits": 32}})

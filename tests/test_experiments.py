@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -185,6 +186,20 @@ def test_optimize_tie_break_prefers_small_rate_then_threshold():
     # energy rises with rate and falls with threshold, so the winner is the
     # highest threshold at the smallest rate
     assert (result.relevance_threshold, result.rate) == (0.7, 1.0)
+
+
+def test_optimize_warns_on_grid_rates_below_the_penalty():
+    # the config's own rate (2.0) passes; the grid's r = 1 has k_d = 0.0725
+    cfg = load_config({"penalty": 0.05, "images_per_device": 8})
+    with pytest.warns(UserWarning, match="penalty"):
+        optimize(cfg, 0.5, vth_grid=(0.6,), rate_grid=(1.0, 2.0))
+
+
+def test_optimize_default_grid_does_not_warn():
+    cfg = load_config()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimize(cfg, 0.8)
 
 
 def test_optimize_rejects_bad_floor():
