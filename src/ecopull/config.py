@@ -162,8 +162,7 @@ class TruthDistribution:
                  f"truth_distribution density integrates to {mass!r}, not 1")
         _require(abs(self.cdf(0.0)) <= atol, "truth_distribution cdf(0) != 0")
         _require(abs(self.cdf(1.0) - 1.0) <= atol, "truth_distribution cdf(1) != 1")
-        grid = np.linspace(0.0, 1.0, 257)
-        values = np.asarray([self.cdf(b) for b in grid])
+        values = np.asarray(self.cdf(np.linspace(0.0, 1.0, 257)))
         _require(bool(np.all(np.diff(values) >= -atol)),
                  "truth_distribution cdf is not nondecreasing")
 
@@ -461,7 +460,11 @@ def dump_config(cfg: ScenarioConfig, indent: int = 2) -> str:
 
 
 def apply_overrides(spec: dict, assignments: Iterable[str]) -> dict:
-    """Apply ``path.to.field=json_value`` assignments onto a config dict."""
+    """Apply ``path.to.field=json_value`` assignments onto a config dict.
+
+    Setting ``truth_distribution.kind`` to a new kind starts that mapping
+    afresh, so later assignments give the new kind its parameters.
+    """
     for item in assignments:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
@@ -476,5 +479,8 @@ def apply_overrides(spec: dict, assignments: Iterable[str]) -> dict:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"override {path!r} descends into a scalar")
-        node[keys[-1]] = value
+        if keys == ["truth_distribution", "kind"] and node.get("kind") != value:
+            spec["truth_distribution"] = {"kind": value}
+        else:
+            node[keys[-1]] = value
     return spec

@@ -10,10 +10,15 @@ leaving unattempted images undelivered.
 
 Scores are compared to the threshold unclamped, keeping the simulation on
 the same probability model as the Q-function analysis.
+
+Rounds are simulated in blocks. Each round still draws from its own
+generator, in the order of a one-round call; everything after the draws
+runs once per block, so a block's rounds equal one-round calls bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -33,6 +38,12 @@ __all__ = [
 ]
 
 SeedLike = Union[int, Sequence[int]]
+
+# Rounds simulated together: a block holds at most this many images
+# (rounds x devices x images), and a larger round runs alone. Smaller
+# blocks pay more per-block numpy calls; larger ones hold more memory and
+# fall out of cache.
+_BLOCK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,62 +122,158 @@ class _Context:
         self.comm_per_tx = _uplink_energy(cfg)
 
 
-def _run_round_core(ctx: _Context, rng: np.random.Generator) -> RoundOutcome:
-    beta = np.asarray(ctx.truth.sample(rng, (ctx.devices, ctx.images)),
-                      dtype=float)
-    observed = beta + rng.normal(0.0, ctx.sigma, (ctx.devices, ctx.images))
-    relevant = observed >= ctx.vth
-    rel_counts = relevant.sum(axis=1)
-    order_keys = rng.random((ctx.devices, ctx.images))
+def _row_starts(shape: tuple) -> np.ndarray:
+    """Flat index of the first element of every last-axis row of ``shape``,
+    shaped to broadcast against per-row indices."""
+    width = shape[-1]
+    return np.arange(0, math.prod(shape), width).reshape(*shape[:-1], 1)
 
-    drain = int(rel_counts.max(initial=0))
-    horizon = drain
+
+def _queue_order(keys: np.ndarray, relevant: np.ndarray,
+                 head: int) -> np.ndarray:
+    """First ``head`` images of every queue, in the order they are sent.
+
+    A device sends its relevant images in increasing order of ``keys``,
+    the lower image index first on an exact tie, as a stable sort would.
+    Irrelevant keys are set to 2.0 in place, above every key drawn in
+    ``[0, 1)``, so each row sorts its queue first. One unstable sort serves
+    every block whose queues hold no tie in or at the edge of the head; a
+    block with one is sorted again stably.
+    """
+    np.maximum(keys, 2.0 * ~relevant, out=keys)
+    order = np.argsort(keys, axis=-1)
+    ranked = keys.take(order[..., :head + 1] + _row_starts(keys.shape))
+    if np.any((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < 2.0)):
+        order = np.argsort(keys, axis=-1, kind="stable")
+    return order[..., :head]
+
+
+def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray:
+    """Flat indices into ``slots[round, device, frame]`` of the active
+    transmissions that are the only one in their (round, frame, slot) cell.
+
+    The active transmissions' codes ``cell << bits | device`` are sorted,
+    so a transmission is alone when neither sorted neighbour has its cell.
+    Memory grows with the transmissions, not with the slot count; the codes
+    stay below ``2 * rounds * frames * devices * L``.
+    """
+    rounds, devices, frames = slots.shape
+    bits = max(devices - 1, 1).bit_length()
+    cell_base = (np.arange(rounds)[:, None, None] * frames
+                 + np.arange(frames)) * slot_count
+    codes = ((slots + cell_base) << bits) | np.arange(devices)[:, None]
+    codes = np.sort(codes[active])
+    cells = codes >> bits
+    repeat = cells[1:] == cells[:-1]
+    lone = np.ones(len(codes), dtype=bool)
+    lone[1:] = ~repeat
+    lone[:-1] &= ~repeat
+    codes = codes[lone]
+    cell_row = (codes >> bits) // slot_count          # round * F + frame
+    senders = codes & ((1 << bits) - 1)
+    return ((cell_row // frames * devices + senders) * frames
+            + cell_row % frames)
+
+
+@dataclass(frozen=True, eq=False)
+class _Rounds:
+    """Arrays of a block of rounds: ``RoundOutcome``'s with a leading round axis,
+    plus each round's counts and mean device energy."""
+
+    true_similarity: np.ndarray      # (B, K, N)
+    observed_similarity: np.ndarray  # (B, K, N)
+    relevant: np.ndarray             # (B, K, N) bool
+    actual: np.ndarray               # (B, K, N) bool
+    delivered: np.ndarray            # (B, K, N) bool
+    relevant_counts: np.ndarray      # (B, K)
+    computation: np.ndarray          # (B, K) J
+    communication: np.ndarray        # (B, K) J
+    frames: np.ndarray               # (B,)
+    sifi: np.ndarray                 # (B,)
+    mean_energy: np.ndarray          # (B,) J
+    delivered_counts: np.ndarray     # (B,)
+    actual_counts: np.ndarray        # (B,)
+
+
+def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike]) -> _Rounds:
+    """Simulate one round per seed, round ``b`` on ``default_rng(seeds[b])``.
+
+    Each round draws, in order, the true similarities, the score noise, the
+    queue-order keys and then, once its horizon is known, one slot per
+    device and frame. Everything after the draws runs once for the block.
+    """
+    rounds = len(seeds)
+    shape = (ctx.devices, ctx.images)
+    beta = np.empty((rounds, *shape))
+    observed = np.empty((rounds, *shape))
+    keys = np.empty((rounds, *shape))
+    generators = []
+    for b, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        beta[b] = ctx.truth.sample(rng, shape)
+        observed[b] = rng.normal(0.0, ctx.sigma, shape)
+        rng.random(out=keys[b])
+        generators.append(rng)
+    observed += beta
+    relevant = observed >= ctx.vth
+    rel_counts = np.count_nonzero(relevant, axis=2)
+
+    horizons = rel_counts.max(axis=1)
     if ctx.fixed_frames is not None:
-        horizon = min(drain, ctx.fixed_frames)
-    attempted = np.minimum(rel_counts, horizon)
+        np.minimum(horizons, ctx.fixed_frames, out=horizons)
+    attempted = np.minimum(rel_counts, horizons[:, None])
+    head = int(horizons.max())
 
     delivered = np.zeros_like(relevant)
-    if horizon > 0:
-        slots = rng.integers(0, ctx.slots, size=(ctx.devices, horizon))
-        active = np.arange(horizon)[None, :] < attempted[:, None]
-        keys = slots + ctx.slots * np.arange(horizon)[None, :]
-        occupancy = np.bincount(keys[active], minlength=ctx.slots * horizon)
-        alone = active & (occupancy[keys] == 1)
-        for dev in range(ctx.devices):
-            sent = int(attempted[dev])
-            if sent == 0:
-                continue
-            queue = np.flatnonzero(relevant[dev])
-            order = np.argsort(order_keys[dev, queue], kind="stable")
-            chosen = queue[order[:sent]]
-            delivered[dev, chosen] = alone[dev, :sent]
+    if head > 0:
+        slots = np.zeros((rounds, ctx.devices, head), dtype=np.int64)
+        for b, (rng, horizon) in enumerate(zip(generators,
+                                               horizons.tolist())):
+            if horizon > 0:
+                slots[b, :, :horizon] = rng.integers(
+                    0, ctx.slots, size=(ctx.devices, horizon))
+        active = np.arange(head) < attempted[..., None]
+        sent = _queue_order(keys, relevant, head) + _row_starts(keys.shape)
+        delivered.reshape(-1)[sent.take(_alone(slots, active, ctx.slots))] = True
 
     actual = beta >= ctx.delta
-    omega = int(actual.sum())
-    delivered_actual = int(np.count_nonzero(delivered & actual))
-    if omega == 0:
-        sifi = 1.0
-    else:
-        sifi = 1.0 - (ctx.kd * delivered_actual
-                      + ctx.gamma * (omega - delivered_actual)) / omega
-
-    return RoundOutcome(
+    omega = np.count_nonzero(actual, axis=(1, 2))
+    hits = np.count_nonzero(delivered & actual, axis=(1, 2))
+    loss = (ctx.kd * hits + ctx.gamma * (omega - hits)) / np.maximum(omega, 1)
+    computation = ctx.comp_fixed + rel_counts * ctx.comp_per_relevant
+    communication = ctx.comm_fixed + attempted * ctx.comm_per_tx
+    return _Rounds(
         true_similarity=beta,
         observed_similarity=observed,
         relevant=relevant,
         actual=actual,
         delivered=delivered,
         relevant_counts=rel_counts,
-        computation=ctx.comp_fixed + rel_counts * ctx.comp_per_relevant,
-        communication=ctx.comm_fixed + attempted * ctx.comm_per_tx,
-        frames_used=horizon,
-        sifi=sifi,
+        computation=computation,
+        communication=communication,
+        frames=horizons,
+        sifi=np.where(omega > 0, 1.0 - loss, 1.0),
+        mean_energy=np.mean(computation + communication, axis=1),
+        delivered_counts=np.count_nonzero(delivered, axis=(1, 2)),
+        actual_counts=omega,
     )
 
 
 def run_round(cfg: ScenarioConfig, seed: SeedLike) -> RoundOutcome:
     """Simulate one round on ``default_rng(seed)``."""
-    return _run_round_core(_Context(cfg), np.random.default_rng(seed))
+    out = _run_rounds(_Context(cfg), [seed])
+    return RoundOutcome(
+        true_similarity=out.true_similarity[0],
+        observed_similarity=out.observed_similarity[0],
+        relevant=out.relevant[0],
+        actual=out.actual[0],
+        delivered=out.delivered[0],
+        relevant_counts=out.relevant_counts[0],
+        computation=out.computation[0],
+        communication=out.communication[0],
+        frames_used=int(out.frames[0]),
+        sifi=float(out.sifi[0]),
+    )
 
 
 def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
@@ -175,12 +282,14 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
 
     Round ``i`` is ``run_round(cfg, (seed, i))``: the same kernel on a
     generator seeded by ``(seed, i)``, so ``rounds=1`` reproduces
-    ``run_round(cfg, (seed, 0))`` exactly. Accumulation is in round order,
+    ``run_round(cfg, (seed, 0))`` exactly. Rounds are simulated in blocks
+    of at most ``_BLOCK_ELEMENTS`` images, and accumulated in round order,
     keeping aggregates bitwise stable.
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be >= 1")
     ctx = _Context(cfg)
+    block = max(1, _BLOCK_ELEMENTS // (ctx.devices * ctx.images))
     sifi_sum = 0.0
     sifi_sq = 0.0
     energy_sum = 0.0
@@ -189,23 +298,24 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     omega_sum = 0
     frames_sum = 0
     detail: Optional[list[RoundStats]] = [] if keep_rounds else None
-    for index in range(rounds):
-        rng = np.random.default_rng((seed, index))
-        out = _run_round_core(ctx, rng)
-        mean_energy = float(np.mean(out.computation + out.communication))
-        sifi_sum += out.sifi
-        sifi_sq += out.sifi * out.sifi
-        energy_sum += mean_energy
-        energy_sq += mean_energy * mean_energy
-        delivered_sum += out.delivered_count
-        omega_sum += out.actual_relevant_count
-        frames_sum += out.frames_used
+    for start in range(0, rounds, block):
+        indices = range(start, min(start + block, rounds))
+        out = _run_rounds(ctx, [(seed, index) for index in indices])
+        sifis = out.sifi.tolist()
+        energies = out.mean_energy.tolist()
+        for sifi, energy in zip(sifis, energies):
+            sifi_sum += sifi
+            sifi_sq += sifi * sifi
+            energy_sum += energy
+            energy_sq += energy * energy
+        delivered_sum += int(out.delivered_counts.sum())
+        omega_sum += int(out.actual_counts.sum())
+        frames_sum += int(out.frames.sum())
         if detail is not None:
-            detail.append(RoundStats(index=index, sifi=out.sifi,
-                                     mean_device_energy=mean_energy,
-                                     delivered=out.delivered_count,
-                                     actual_relevant=out.actual_relevant_count,
-                                     frames=out.frames_used))
+            detail.extend(map(RoundStats, indices, sifis, energies,
+                              out.delivered_counts.tolist(),
+                              out.actual_counts.tolist(),
+                              out.frames.tolist()))
     mean_sifi = sifi_sum / rounds
     mean_energy = energy_sum / rounds
     return SimAggregate(

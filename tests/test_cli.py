@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ecopull import load_config
+from ecopull import BetaTruth, UniformTruth, load_config
 from ecopull.cli import main
 
 
@@ -179,6 +179,29 @@ def test_config_file_is_read(tmp_path, capsys):
     assert rc == 0
     cfg = load_config(out)
     assert (cfg.device_count, cfg.radio.rate) == (7, 2e5)
+
+
+def test_set_switches_truth_kind_to_one_with_fewer_parameters(tmp_path,
+                                                             capsys):
+    path = tmp_path / "beta.json"
+    path.write_text('{"truth_distribution": {"kind": "beta", "alpha": 2, '
+                    '"beta": 5}}', encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "print-config", "--config", str(path),
+                         "--set", "truth_distribution.kind=uniform")
+    assert rc == 0
+    assert load_config(out).truth_distribution == UniformTruth()
+
+
+def test_set_switches_truth_kind_then_sets_its_parameters(tmp_path, capsys):
+    path = tmp_path / "uniform.json"
+    path.write_text('{"truth_distribution": {"kind": "uniform"}}',
+                    encoding="utf-8")
+    rc, out, _ = run_cli(capsys, "print-config", "--config", str(path),
+                         "--set", "truth_distribution.kind=beta",
+                         "--set", "truth_distribution.alpha=2",
+                         "--set", "truth_distribution.beta=5")
+    assert rc == 0
+    assert load_config(out).truth_distribution == BetaTruth(2.0, 5.0)
 
 
 def test_config_errors_exit_code(capsys):

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from ecopull import (device_energy, fidelity_distance, load_config, p_th,
-                     run_round, simulate)
+from ecopull import (RoundStats, device_energy, fidelity_distance, load_config,
+                     p_th, run_round, simulate)
+from ecopull import sim
+from ecopull.cli import main as cli_main
 
 
 def reference_round(cfg, rng):
@@ -222,3 +226,74 @@ def test_single_round_equals_run_round(default_cfg):
 def test_rounds_must_be_positive(small_cfg):
     with pytest.raises(ValueError, match="rounds"):
         simulate(small_cfg, 0, 1)
+
+
+BLOCK_CONFIGS = {
+    "default": {},
+    "large": {"device_count": 50, "images_per_device": 1000},
+    "fixed-frames": {"fixed_frames": 3},
+    "beta-truth": {"truth_distribution": {"kind": "beta", "alpha": 2,
+                                          "beta": 5}},
+    "one-device": {"device_count": 1},
+    "three-slots": {"slots_per_frame": 3, "slot_coefficient": None},
+    "no-actual-relevant": {"truth_threshold": 1.0},
+    "million-slots": {"device_count": 10, "images_per_device": 2,
+                      "relevance_threshold": 0.0, "model_noise": 1e-12,
+                      "slots_per_frame": 10 ** 6, "slot_coefficient": None},
+    "empty-queues": {"relevance_threshold": 1.0, "model_noise": 1e-12},
+}
+
+
+@pytest.mark.parametrize("spec", BLOCK_CONFIGS.values(), ids=BLOCK_CONFIGS)
+def test_blocks_equal_round_order_accumulation_of_run_round(spec):
+    cfg = load_config(spec)
+    block = max(1, sim._BLOCK_ELEMENTS
+                // (cfg.device_count * cfg.images_per_device))
+    rounds = block + 2          # one full block and a partial one
+    seed = 6
+    agg = simulate(cfg, rounds, seed, keep_rounds=True)
+    detail = []
+    sifi_sum = energy_sum = 0.0
+    for index in range(rounds):
+        out = run_round(cfg, (seed, index))
+        energy = float(np.mean(out.computation + out.communication))
+        sifi_sum += out.sifi
+        energy_sum += energy
+        detail.append(RoundStats(index, out.sifi, energy, out.delivered_count,
+                                 out.actual_relevant_count, out.frames_used))
+    assert agg.rounds_detail == detail
+    assert agg.mean_sifi == sifi_sum / rounds
+    assert agg.mean_total_energy == energy_sum / rounds
+    assert agg.mean_delivered == sum(r.delivered for r in detail) / rounds
+    assert agg.mean_frames == sum(r.frames for r in detail) / rounds
+
+
+def test_empty_queues_send_nothing():
+    cfg = load_config(BLOCK_CONFIGS["empty-queues"])
+    agg = simulate(cfg, 50, 1)
+    assert agg.mean_frames == 0 and agg.mean_delivered == 0
+
+
+@pytest.mark.parametrize("head", [1, 7, 25, 40])
+def test_queue_order_breaks_exact_ties_by_image_index(head):
+    rng = np.random.default_rng(8)
+    keys = rng.integers(0, 4, size=(3, 4, 40)) / 4.0    # many exact ties
+    relevant = rng.random(keys.shape) < 0.7
+    relevant[0, 0] = True                                # a full queue
+    expected = np.argsort(np.where(relevant, keys, 2.0), axis=-1,
+                          kind="stable")[..., :head]
+    got = sim._queue_order(keys.copy(), relevant, head)
+    # past the end of its queue a row holds irrelevant images, never sent
+    queued = np.arange(head) < relevant.sum(axis=-1)[..., None]
+    np.testing.assert_array_equal(np.where(queued, got, -1),
+                                  np.where(queued, expected, -1))
+
+
+def test_per_round_csv_bytes_are_fixed(tmp_path):
+    # recorded from the round-at-a-time kernel the block kernel replaced
+    rc = cli_main(["simulate", "--rounds", "200", "--seed", "3", "--per-round",
+                   "--set", "fixed_frames=3", "--out", str(tmp_path)])
+    assert rc == 0
+    digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes())
+    assert digest.hexdigest() == ("272dc2a99a59b4d57b3f6a54660fd45d"
+                                  "85af2528f77881b441bca8cf94b149d0")
