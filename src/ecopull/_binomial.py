@@ -1,16 +1,18 @@
-"""Binomial probabilities over the whole support, from ``scipy.special`` alone.
+"""Binomial probabilities over the whole support, on numpy alone.
 
-``scipy.stats`` is not imported for these: its import costs about as much
-as the rest of the package's together. Both functions return the values
-for every load ``k = 0..n`` at once.
+Neither ``scipy.stats`` nor ``scipy.special`` is imported with this
+module: together they cost more than the rest of the package's import.
+Each function returns the values for every load ``k = 0..n`` at once.
 
-:func:`logpmf` is the expression ``scipy.stats.binom.logpmf`` evaluates, in
-the same order, so it returns the same bits. :func:`pmf` is Loader's
-saddle-point method (C. Loader, "Fast and Accurate Computation of Binomial
-Probabilities", 2000; R's ``dbinom``): it is within 1e-14 of the exact
-value where that exceeds 1e-6 (within 2e-13 down to 1e-278), where
-``exp(logpmf)`` loses ~1e-12 to cancellation at large ``n``, and it
-underflows only where the probability itself does.
+:func:`saddle_logpmf` is Loader's saddle-point method (C. Loader, "Fast and
+Accurate Computation of Binomial Probabilities", 2000; R's ``dbinom``) in
+log form, and :func:`pmf` is its ``exp``: within 1e-14 of the exact value
+where that exceeds 1e-6 (within 2e-13 down to 1e-278), where
+``exp(logpmf)`` loses ~1e-12 to cancellation at large ``n``; it underflows
+only where the probability itself does, and the log form stays finite
+there. :func:`logpmf` is the expression ``scipy.stats.binom.logpmf``
+evaluates, in the same order, so it returns the same bits; it imports
+``scipy.special`` on its first call.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 # stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 0..15 (0 unused);
 # larger n use the Stirling series in _stirlerr
@@ -54,6 +55,8 @@ _SERIES_EPS = 2.0 ** -56
 
 def logpmf(n: int, p: float) -> np.ndarray:
     """``log P(Bin(n, p) = k)`` for ``k = 0..n``, bitwise as scipy.stats."""
+    from scipy.special import gammaln, xlog1py, xlogy
+
     k = np.arange(n + 1, dtype=float)
     combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
     return combiln + xlogy(k, p) + xlog1py(n - k, -p)
@@ -92,22 +95,22 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     return np.where(near, series, direct)
 
 
-def pmf(n: int, p: float) -> np.ndarray:
-    """``P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point method."""
+def saddle_logpmf(n: int, p: float) -> np.ndarray:
+    """``log P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point
+    method; ``-inf`` only where the probability is exactly zero."""
     q = 1.0 - p
-    out = np.zeros(n + 1)
+    log_p = np.full(n + 1, -math.inf)
     if n == 0 or p == 0.0:
-        out[0] = 1.0
-        return out
+        log_p[0] = 0.0
+        return log_p
     if q == 0.0:
-        out[n] = 1.0
-        return out
+        log_p[n] = 0.0
+        return log_p
     up = np.arange(1, n + 1, dtype=float)
     # dev_p[k-1] = bd0(k, np) and dev_q[k] = bd0(n-k, nq), for k = 1..n and
     # k = 0..n-1: the end points' terms come with the interior's
     dev_p = _bd0(up, n * p)
     dev_q = _bd0(up[::-1], n * q)
-    log_p = np.empty(n + 1)
     log_p[0] = -dev_q[0] - n * p if p < 0.1 else n * math.log(q)
     log_p[n] = -dev_p[-1] - n * q if q < 0.1 else n * math.log(p)
     if n > 1:
@@ -119,4 +122,9 @@ def pmf(n: int, p: float) -> np.ndarray:
               - dev_p[:-1] - dev_q[1:])
         lf = _LOG_2PI + np.log(x * (n - x) / n)
         log_p[1:n] = lc - 0.5 * lf
-    return np.exp(log_p)
+    return log_p
+
+
+def pmf(n: int, p: float) -> np.ndarray:
+    """``P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point method."""
+    return np.exp(saddle_logpmf(n, p))

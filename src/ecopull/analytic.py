@@ -243,13 +243,10 @@ def _mean_fractions(device_count: int, images_per_device: int,
     loads = np.arange(images + 1)
     log_xr = np.log1p(-alpha_r * s)
     log_xn = np.log1p(-alpha_n * s)
-    # log P(c): the saddle-point pmf is within 1e-14 in the bulk where
-    # logpmf loses ~1e-12 at N = 1000, which the power K-1 below amplifies;
-    # logpmf keeps the tails that pmf underflows
-    pmf = _binomial.pmf(images, pass_probability)
-    with np.errstate(divide="ignore"):
-        log_p = np.where(pmf > 0.0, np.log(pmf),
-                         _binomial.logpmf(images, pass_probability))
+    # log P(c) in the saddle-point form: within 1e-14 in the bulk where
+    # logpmf loses ~1e-12 at N = 1000, which the power K-1 below amplifies,
+    # and finite in the tails where pmf underflows
+    log_p = _binomial.saddle_logpmf(images, pass_probability)
     # log of P(c) x_r^c x_n^(N-c)
     log_y = log_p + loads * log_xr + (images - loads) * log_xn
     below = np.logaddexp.accumulate(log_y[:, :-1], axis=1)

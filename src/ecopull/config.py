@@ -15,8 +15,8 @@ from typing import (Any, Iterable, Mapping, Optional, Union, get_args,
                     get_origin, get_type_hints)
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._quadpack import quad
 from .sifi import fidelity_distance
 
 __all__ = [
@@ -156,8 +156,12 @@ class TruthDistribution:
         raise NotImplementedError
 
     def validate(self, atol: float = 1e-9) -> None:
-        """Check unit mass and CDF sanity numerically."""
-        mass, _ = quad(self.density, 0.0, 1.0, epsabs=atol / 10, limit=200)
+        """Check unit mass and CDF sanity numerically.
+
+        ``density`` is integrated on arrays of nodes; a quadrature that
+        does not converge raises QuadratureError.
+        """
+        mass, _ = quad(self.density, 0.0, 1.0, atol / 10)
         _require(abs(mass - 1.0) <= atol,
                  f"truth_distribution density integrates to {mass!r}, not 1")
         _require(abs(self.cdf(0.0)) <= atol, "truth_distribution cdf(0) != 0")
@@ -197,13 +201,21 @@ class BetaTruth(TruthDistribution):
                  "truth_distribution beta shape parameters must be > 0")
         super().__post_init__()
 
+    # scipy.special is loaded only when a Beta truth is used; scipy.stats,
+    # which costs more than the rest of the package's import, never is
     def density(self, beta):
-        from scipy.stats import beta as beta_dist
-        return beta_dist.pdf(beta, self.alpha, self.beta)
+        from scipy.special import betaln, xlog1py, xlogy
+
+        x = np.clip(beta, 0.0, 1.0)
+        log_density = (xlogy(self.alpha - 1.0, x)
+                       + xlog1py(self.beta - 1.0, -x)
+                       - betaln(self.alpha, self.beta))
+        # zero outside [0, 1], where clipping moved the point
+        return np.where(x == beta, np.exp(log_density), 0.0)
 
     def cdf(self, beta):
-        from scipy.stats import beta as beta_dist
-        return beta_dist.cdf(beta, self.alpha, self.beta)
+        from scipy.special import betainc
+        return betainc(self.alpha, self.beta, np.clip(beta, 0.0, 1.0))
 
     def sample(self, rng: np.random.Generator, size=None):
         return rng.beta(self.alpha, self.beta, size)

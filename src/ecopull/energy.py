@@ -9,15 +9,15 @@ compressor inference plus one packet transmission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc
 
 from . import _binomial
+from ._quadpack import QuadratureError, quad
 from .config import ScenarioConfig, TruthDistribution, packet_bits
 from .hardware import inference_energy, model_load_energy
 
@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 QUAD_ABS_TOL = 1e-9
 
 
@@ -61,26 +57,34 @@ class EnergyBreakdown:
         return self.computation + self.communication
 
 
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def gaussian_tail(x):
     """Standard normal upper-tail probability Q(x)."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    z = np.asarray(x, dtype=float) / math.sqrt(2.0)
+    return 0.5 * np.asarray(_erfc(z), dtype=float)
 
 
 def quad_interval(func, lo: float, hi: float,
                   abs_tol: float = QUAD_ABS_TOL, points=None) -> float:
     """Adaptive quadrature of ``func`` over [lo, hi] to ``abs_tol``.
 
-    ``points`` marks interior breakpoints (sharp features); values outside
-    the open interval are dropped. Non-convergence raises QuadratureError.
+    ``func`` is called on arrays of nodes. ``points`` marks interior
+    breakpoints (sharp features); values outside the open interval are
+    dropped. The rule is QUADPACK's (``_quadpack``) at scipy's ``quad``
+    default relative tolerance. Non-convergence, or an error estimate
+    above ten times ``max(abs_tol, 1e-12 * |value|)`` even at zero
+    relative tolerance, raises QuadratureError.
     """
     interior = None
     if points is not None:
         interior = [p for p in points if lo < p < hi] or None
-    value, abserr, info, *tail = quad(func, lo, hi, epsabs=abs_tol,
-                                      limit=200, points=interior,
-                                      full_output=True)
-    if tail:
-        raise QuadratureError(f"quadrature did not converge: {tail[0]}")
+    value, abserr = quad(func, lo, hi, abs_tol, points=interior)
+    if abserr > max(abs_tol, 1e-12 * abs(value)) * 10:
+        # the relative tolerance stopped the subdivision above this bound
+        value, abserr = quad(func, lo, hi, abs_tol, epsrel=0.0,
+                             points=interior)
     if abserr > max(abs_tol, 1e-12 * abs(value)) * 10:
         raise QuadratureError(
             f"quadrature error estimate {abserr:.3e} exceeds tolerance")

@@ -259,3 +259,44 @@ def test_commands_do_not_import_scipy_stats(tmp_path):
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+def _fresh_interpreter(code, out):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    # the quadrature, the normal tail and the closed form's log P(c) run on
+    # numpy; scipy.special is loaded only by the chain and Beta truths
+    code = (
+        "import sys\n"
+        "import ecopull, ecopull.cli\n"
+        "ecopull.load_config(None)\n"
+        "out = sys.argv[1]\n"
+        "for argv in (['simulate', '--rounds', '50'], ['compare', '--n-grid', '5'],\n"
+        "             ['analyze', '--mode', 'exact', '--set', 'images_per_device=10'],\n"
+        "             ['energy-breakdown'], ['expected-energy']):\n"
+        "    assert ecopull.cli.main(argv + ['--out', out]) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    assert _fresh_interpreter(code, tmp_path) == "[]"
+
+
+def test_beta_truth_loads_no_scipy_stats(tmp_path):
+    code = (
+        "import sys\n"
+        "import ecopull, ecopull.cli\n"
+        "ecopull.load_config({'truth_distribution':\n"
+        "                     {'kind': 'beta', 'alpha': 2, 'beta': 5}})\n"
+        "assert ecopull.cli.main([\n"
+        "    'compare', '--n-grid', '5', '--set', 'truth_distribution.kind=beta',\n"
+        "    '--set', 'truth_distribution.alpha=2',\n"
+        "    '--set', 'truth_distribution.beta=5', '--out', sys.argv[1]]) == 0\n"
+        "print('scipy.stats' in sys.modules)\n")
+    assert _fresh_interpreter(code, tmp_path) == "False"
