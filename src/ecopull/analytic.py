@@ -17,8 +17,11 @@ where ``W_nu`` devices are active in frame ``nu``, ``b = 1 - 1/L``,
 the probabilities that a passed and a filtered-out image is actually
 relevant, and ``G(R) = E[1 / (1 + Bin(R-1, alpha_r) + Bin(KN-R, alpha_n))]``
 weighs a delivered image by the number of actually-relevant images it
-shares the round with. ``f`` lies in [0, 1], and with one device (nothing
-collides) the score reduces to ``offset + slope`` of :func:`sifi_affine`.
+shares the round with. A frame cap ``F`` (``fixed_frames``) keeps only
+the frames ``nu <= F`` in the sum; ``R`` and ``G`` stay, as ``Omega``
+counts the images left unsent too. ``f`` lies in [0, 1], and with one
+device (nothing collides) and no cap the score reduces to
+``offset + slope`` of :func:`sifi_affine`.
 
 :func:`expected_sifi_exact` averages ``f`` over the load distribution in
 closed form. Tag one passed image and write ``1/(1+x) = int_0^1 t^x dt``;
@@ -32,7 +35,15 @@ with ``s = 1 - t``, ``x_r = 1 - alpha_r s``, ``x_n = 1 - alpha_n s`` and
     A = S_0.
 
 ``M_nu`` is the mean factor one other device contributes to an image the
-tagged device sends in frame ``nu``. Each quadrature node costs O(N).
+tagged device sends in frame ``nu``. Swapping the two sums, a frame
+``nu`` counts every load ``c >= nu``, and those loads sum to
+``S_nu / x_r``:
+
+    E[f] = K alpha_r int_0^1 (1 / x_r) sum_{nu=1..N} S_nu M_nu(s)^(K-1) ds.
+
+Each quadrature node costs O(N). Under a frame cap ``F`` the sum runs
+over ``nu <= F``; ``M_nu`` stays, since another device is active in a
+frame ``nu <= F`` iff its load is at least ``nu``.
 
 :func:`run_chain` samples compositions with a Metropolis chain whose
 proposal moves one device between two bins. The chain applies the Hastings
@@ -52,7 +63,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import _binomial
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .energy import p_th, quad_interval, gaussian_tail
 from .sifi import fidelity_distance
 
@@ -227,14 +238,18 @@ def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_fractions(device_count: int, images_per_device: int,
                     slot_counts: Sequence[int], pass_probability: float,
-                    alpha_r: float, alpha_n: float) -> dict[int, float]:
+                    alpha_r: float, alpha_n: float,
+                    frames: Optional[int] = None) -> dict[int, float]:
     """E[f] over the load distribution for each slot count, by the closed
-    form (module docstring).
+    form (module docstring), with the tagged device's frames capped at
+    ``frames`` when given.
 
-    One row per quadrature node; every sum over loads runs in log space.
-    Only ``log m`` and the frame sum depend on the slot count, so the
-    nodes, ``log P(c)``, ``log y`` and its prefix and suffix sums are
-    computed once for all of ``slot_counts``.
+    One row per quadrature node. ``y = P(c) x_r^c x_n^(N-c)`` is
+    exponentiated once, shifted by its row maximum and divided by its row
+    total ``A``, so its prefix and suffix sums are plain ``cumsum``s in
+    [0, 1]; the scale ``A^K / x_r`` goes back in at the end. Only
+    ``M_nu`` and the sum over frames depend on the slot count, so
+    everything else is computed once for all of ``slot_counts``.
     """
     images = images_per_device
     pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
@@ -249,24 +264,34 @@ def _mean_fractions(device_count: int, images_per_device: int,
     log_p = _binomial.saddle_logpmf(images, pass_probability)
     # log of P(c) x_r^c x_n^(N-c)
     log_y = log_p + loads * log_xr + (images - loads) * log_xn
-    below = np.logaddexp.accumulate(log_y[:, :-1], axis=1)
-    above = np.logaddexp.accumulate(log_y[:, :0:-1], axis=1)[:, ::-1]
-    # the tagged device sends c >= 1 images: P(c) x_r^(c-1) x_n^(N-c)
-    tagged = log_y[:, 1:] - log_xr
-    fractions = {}
-    for slots in slot_counts:
-        # M_nu for nu = 1..N as sum_{c<nu} + b * sum_{c>=nu}: two
-        # nonnegative parts, so nothing cancels, not even at b = 0 (one slot)
-        log_b = math.log1p(-1.0 / slots) if slots > 1 else -math.inf
-        log_m = np.logaddexp(below, log_b + above)
-        # log sum_{nu=1..c} M_nu^(K-1) for c = 1..N; one device: c frames
-        if device_count > 1:
-            frames = np.logaddexp.accumulate((device_count - 1) * log_m,
-                                             axis=1)
-        else:
-            frames = np.log(loads[1:])
-        integrand = np.exp(np.logaddexp.reduce(tagged + frames, axis=1))
-        fractions[slots] = device_count * alpha_r * float(integrand @ weights)
+    top = log_y.max(axis=1, keepdims=True)
+    y = np.exp(log_y - top)
+    total = y.sum(axis=1, keepdims=True)
+    y /= total
+    # a cap F drops the frames past F and nothing else (module docstring)
+    horizon = images if frames is None else min(frames, images)
+    # S_nu / A and sum_{c<nu} y_c / A for nu = 1..F: M_nu / A is
+    # below + b * above, two nonnegative parts, so nothing cancels, not
+    # even at b = 0 (one slot)
+    above = np.cumsum(y[:, :0:-1], axis=1)[:, ::-1][:, :horizon]
+    below = np.cumsum(y[:, :horizon], axis=1)
+    # log(A^K / x_r)
+    scale = device_count * (top + np.log(total)) - log_xr
+    with np.errstate(divide="ignore"):
+        log_above = np.log(above)
+        fractions = {}
+        for slots in slot_counts:
+            # log S_nu M_nu^(K-1), up to the scale; one device: S_nu
+            terms = log_above
+            if device_count > 1:
+                terms = terms + (device_count - 1) * np.log(
+                    below + (1.0 - 1.0 / slots) * above)
+            peak = terms.max(axis=1, keepdims=True)
+            peak[peak == -math.inf] = 0.0  # a row of zeros stays zero
+            log_sum = np.log(np.exp(terms - peak).sum(axis=1, keepdims=True))
+            integrand = np.exp(scale + peak + log_sum)[:, 0]
+            fractions[slots] = (device_count * alpha_r
+                                * float(integrand @ weights))
     return fractions
 
 
@@ -306,8 +331,9 @@ class _FractionTable:
 
 
 def _frame_deliveries(counts: Sequence[int], occupied: list[int],
-                      active: int, weight: list[float]) -> float:
-    """sum_nu W_nu * b^(W_nu - 1) over the frames of a composition.
+                      active: int, weight: list[float], horizon: int) -> float:
+    """sum_nu W_nu * b^(W_nu - 1) over the frames nu <= horizon of a
+    composition.
 
     ``occupied`` holds the nonzero bins in any order; ``active`` devices
     hold at least one image.
@@ -317,20 +343,12 @@ def _frame_deliveries(counts: Sequence[int], occupied: list[int],
     for nu in sorted(occupied):
         if nu == 0:
             continue
+        if nu >= horizon:
+            return total + (horizon - prev) * weight[active]
         total += (nu - prev) * weight[active]
         active -= counts[nu]
         prev = nu
     return total
-
-
-def _require_drained_queues(cfg: ScenarioConfig) -> None:
-    # the score model lets every queue drain; a frame cap loses the images
-    # still queued at the cap, which no analytic path accounts for
-    if cfg.fixed_frames is not None:
-        raise ConfigError(
-            f"fixed_frames={cfg.fixed_frames} caps the frame horizon, but the "
-            "expected score assumes every queue drains; only simulate "
-            "honours fixed_frames")
 
 
 def expected_sifi_over_rates(cfg: ScenarioConfig,
@@ -342,10 +360,8 @@ def expected_sifi_over_rates(cfg: ScenarioConfig,
     the quadrature and the sums over loads once per distinct slot count,
     and only the gain ``gamma - k_d(r)`` per rate. Each value is bitwise
     :func:`expected_sifi_exact` of ``cfg`` at that rate.
-
-    Raises ConfigError when ``cfg.fixed_frames`` is set.
+    ``cfg.fixed_frames`` caps the frames of every device.
     """
-    _require_drained_queues(cfg)
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     offset, _, alpha_r, alpha_n = score_terms(cfg, pth)
@@ -354,7 +370,8 @@ def expected_sifi_over_rates(cfg: ScenarioConfig,
     scored = sorted({count for count, gain in zip(slots, gains)
                      if gain * alpha_r != 0.0})
     fractions = (_mean_fractions(cfg.device_count, cfg.images_per_device,
-                                 scored, pth, alpha_r, alpha_n)
+                                 scored, pth, alpha_r, alpha_n,
+                                 cfg.fixed_frames)
                  if scored else {})
     return [offset if gain * alpha_r == 0.0
             else offset + gain * fractions[count]
@@ -364,8 +381,7 @@ def expected_sifi_over_rates(cfg: ScenarioConfig,
 def expected_sifi_exact(cfg: ScenarioConfig) -> float:
     """Expected score from the closed form for E[f] (module docstring).
 
-    The one-rate case of :func:`expected_sifi_over_rates`. Raises
-    ConfigError when ``cfg.fixed_frames`` is set.
+    The one-rate case of :func:`expected_sifi_over_rates`.
     """
     return expected_sifi_over_rates(cfg, (cfg.compression_rate,))[0]
 
@@ -422,7 +438,8 @@ def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
 def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
               samples: int, seed, *, relevance: tuple[float, float],
               burn_in: int = 0, hastings: bool = True, state_stride: int = 0,
-              keep_trace: bool = False, check_every: int = 1000) -> ChainResult:
+              keep_trace: bool = False, check_every: int = 1000,
+              frames: Optional[int] = None) -> ChainResult:
     """Run the one-device-move Metropolis chain over compositions.
 
     ``log_rel`` holds the log bin probabilities (length N+1) and
@@ -437,6 +454,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
 
     ``state_stride`` > 0 records every stride-th post-update state;
     ``check_every`` >= 1 revalidates the full state at that period.
+    ``frames`` caps the frames a device sends in, as ``fixed_frames``.
     """
     if samples < 1:
         raise ValueError(f"samples={samples} must be >= 1")
@@ -444,6 +462,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     log_rel = [float(v) for v in log_rel]
     alpha_r, alpha_n = relevance
     table = _FractionTable(device_count, n_bins - 1, slots, alpha_r, alpha_n)
+    horizon = n_bins - 1 if frames is None else frames
     weight = table.weight
     g_values = table.g
     counts = _initial_state(device_count, log_rel)
@@ -458,7 +477,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
         if g is None:
             g = table.fill(load)
         return alpha_r * g * _frame_deliveries(
-            counts, occupied, device_count - counts[0], weight)
+            counts, occupied, device_count - counts[0], weight, horizon)
 
     rng = np.random.default_rng(seed)
     total_steps = burn_in + samples
@@ -548,11 +567,7 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
                        burn_in: int = 0, hastings: bool = True,
                        state_stride: int = 0, keep_trace: bool = False,
                        check_every: int = 1000) -> McmcResult:
-    """Metropolis estimate of the expected score, with diagnostics.
-
-    Raises ConfigError when ``cfg.fixed_frames`` is set.
-    """
-    _require_drained_queues(cfg)
+    """Metropolis estimate of the expected score, with diagnostics."""
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     log_rel = _binomial.logpmf(cfg.images_per_device, pth)
@@ -561,7 +576,7 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
                       samples, seed, relevance=(alpha_r, alpha_n),
                       burn_in=burn_in, hastings=hastings,
                       state_stride=state_stride, keep_trace=keep_trace,
-                      check_every=check_every)
+                      check_every=check_every, frames=cfg.fixed_frames)
     return McmcResult(
         estimate=offset + gain * chain.mean_success,
         samples=chain.samples,

@@ -325,8 +325,9 @@ def _cmd_energy_breakdown(args) -> int:
         rows.append([name, e_muac(hw), e_dram_access(hw), terms.dram,
                      terms.compute, terms.weight_moves,
                      terms.activation_moves, terms.total])
-    _emit(args, "energy_breakdown", csv_text=render_csv(header, rows))
 
+    # both tables are built before either is written: a failing p_th
+    # leaves no partial output
     device_header = ["quantity", "joules"]
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
@@ -338,6 +339,7 @@ def _cmd_energy_breakdown(args) -> int:
         ["expected_total", expected_total_energy(cfg)],
         ["pass_probability", pth],
     ]
+    _emit(args, "energy_breakdown", csv_text=render_csv(header, rows))
     _emit(args, "device_energy",
           csv_text=render_csv(device_header, device_rows))
     return 0

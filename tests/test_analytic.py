@@ -1,5 +1,8 @@
 import math
+import warnings
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,7 +13,8 @@ from ecopull import (ConfigError, UniformTruth, compositions,
                      expected_sifi_mcmc, fidelity_distance, load_config,
                      mcmc_expected_sifi, omega_nonempty_probability, p_delta,
                      p_th, realization_pmf, sifi_affine, simulate)
-from ecopull.analytic import expected_sifi_over_rates, score_terms
+from ecopull.analytic import (_mean_fractions, _panel_rule,
+                              expected_sifi_over_rates, score_terms)
 
 
 def cfg_for(device_count, images, slots, **overrides):
@@ -120,8 +124,10 @@ def test_exact_perfect_regime_approaches_one():
 def direct_composition_sum(cfg):
     # per composition, the exact per-round delivered fraction
     # f = alpha_r * E[1/(1 + Bin(R-1, alpha_r) + Bin(KN-R, alpha_n))]
-    #     * sum_frames W * b^(W-1), the Bin+Bin law convolved directly
+    #     * sum_frames W * b^(W-1), the Bin+Bin law convolved directly and
+    # the frames past a fixed_frames cap dropped
     devices, images = cfg.device_count, cfg.images_per_device
+    horizon = images if cfg.fixed_frames is None else cfg.fixed_frames
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
     pdelta = 1.0 - cfg.truth_threshold  # uniform truth
@@ -143,6 +149,7 @@ def direct_composition_sum(cfg):
                                        total_images - load, alpha_n))
         g = float(np.sum(others / (1.0 + np.arange(len(others)))))
         active = [sum(psi[frame:]) for frame in range(1, images + 1)]
+        active = active[:horizon]
         deliveries = sum(w * base ** (w - 1) for w in active if w > 0)
         mean_fraction += (multinomial.pmf(psi, devices, prel)
                           * alpha_r * g * deliveries)
@@ -161,6 +168,70 @@ def test_exact_matches_direct_multinomial_sum():
                 cfg_for(4, 5, 6, relevance_threshold=0.8, model_noise=1e-4)):
         assert expected_sifi_exact(cfg) == pytest.approx(
             direct_composition_sum(cfg), rel=1e-9)
+
+
+@pytest.mark.parametrize("devices, images, slots, frames", [
+    (4, 5, 6, 1), (4, 5, 6, 2), (4, 5, 6, 5), (3, 6, 1, 2), (1, 5, 6, 3),
+    (4, 5, 2, 3),
+])
+def test_exact_honours_fixed_frames(devices, images, slots, frames):
+    cfg = cfg_for(devices, images, slots, fixed_frames=frames)
+    assert expected_sifi_exact(cfg) == pytest.approx(
+        direct_composition_sum(cfg), rel=1e-9)
+
+
+def unswapped_mean_fraction(devices, images, slots, pth, alpha_r, alpha_n):
+    # the closed form as written in the analytic module docstring, before
+    # its two sums are swapped, at 30 digits on the closed form's own nodes
+    with mpmath.workdps(30):
+        lam = (devices * images - 1) * (pth * alpha_r + (1 - pth) * alpha_n)
+        nodes, weights = _panel_rule(lam)
+        prob = [mpmath.binomial(images, c) * mpmath.mpf(pth) ** c
+                * (1 - mpmath.mpf(pth)) ** (images - c)
+                for c in range(images + 1)]
+        base = 1 - mpmath.mpf(1) / slots
+        total = mpmath.mpf(0)
+        for s, weight in zip(nodes, weights):
+            xr = 1 - mpmath.mpf(alpha_r) * mpmath.mpf(s)
+            xn = 1 - mpmath.mpf(alpha_n) * mpmath.mpf(s)
+            y = [prob[c] * xr ** c * xn ** (images - c)
+                 for c in range(images + 1)]
+            suffix = [mpmath.fsum(y[nu:]) for nu in range(images + 1)]
+            frames = [(suffix[0] - suffix[nu] + base * suffix[nu])
+                      ** (devices - 1) for nu in range(1, images + 1)]
+            total += weight * mpmath.fsum(
+                prob[c] * xr ** (c - 1) * xn ** (images - c)
+                * mpmath.fsum(frames[:c]) for c in range(1, images + 1))
+        return float(devices * alpha_r * total)
+
+
+@pytest.mark.parametrize("devices, images, slots", [
+    (1, 6, 4), (3, 8, 1), (5, 20, 15), (50, 10, 2),
+])
+def test_closed_form_matches_30_digit_reference(devices, images, slots):
+    args = (0.3, 0.8, 0.05)
+    fast = _mean_fractions(devices, images, [slots], *args)[slots]
+    assert fast == pytest.approx(
+        unswapped_mean_fraction(devices, images, slots, *args),
+        rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("devices, images, slots, pth, alpha_r, alpha_n", [
+    (1000, 50, 1, 0.3, 0.8, 0.05),
+    (5, 100, 15, 1e-6, 0.8, 0.05),
+    (5, 100, 15, 0.3, 1.0, 0.0),
+    (2, 1, 1, 0.3, 0.8, 0.05),
+    (2, 1, 3, 0.3, 0.8, 0.05),
+    (4, 5, 1, 1.0, 0.8, 0.05),  # every frame collides: all terms zero
+])
+def test_closed_form_stays_finite_on_degenerate_inputs(
+        devices, images, slots, pth, alpha_r, alpha_n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _mean_fractions(devices, images, [slots], pth, alpha_r,
+                                alpha_n)[slots]
+    assert math.isfinite(value)
+    assert 0.0 <= value <= 1.0
 
 
 def test_exact_single_device_reduces_to_closed_form():
@@ -198,10 +269,11 @@ def test_mcmc_point_mass_scores_one():
     assert expected_sifi_mcmc(cfg, 1, 0) == 1.0
 
 
-def test_exact_rejects_fixed_frames():
-    # the closed form lets every queue drain, which a frame cap does not
-    with pytest.raises(ConfigError, match="fixed_frames"):
-        expected_sifi_exact(cfg_for(3, 4, 4, fixed_frames=2))
+@pytest.mark.parametrize("frames", [1, 3, 10])
+def test_exact_tracks_simulation_under_fixed_frames(frames):
+    cfg = load_config({"fixed_frames": frames})
+    agg = simulate(cfg, 20_000, 5)
+    assert abs(expected_sifi_exact(cfg) - agg.mean_sifi) < 5 * agg.sifi_stderr
 
 
 def test_rate_grid_rejects_nonpositive_rate():
@@ -210,9 +282,12 @@ def test_rate_grid_rejects_nonpositive_rate():
         expected_sifi_over_rates(cfg_for(3, 4, 4), (1.0, 0.0))
 
 
-def test_mcmc_rejects_fixed_frames():
-    with pytest.raises(ConfigError, match="fixed_frames"):
-        mcmc_expected_sifi(cfg_for(3, 4, 4, fixed_frames=2), 100, 1)
+def test_mcmc_honours_fixed_frames():
+    cfg = cfg_for(5, 6, 15, fixed_frames=2)
+    exact = expected_sifi_exact(cfg)
+    assert exact < expected_sifi_exact(replace(cfg, fixed_frames=None))
+    estimate = expected_sifi_mcmc(cfg, 10_000, 3)
+    assert abs(estimate - exact) < 0.01
 
 
 def test_mcmc_is_deterministic():

@@ -113,6 +113,21 @@ def test_energy_breakdown_rows(capsys):
     assert any(l.startswith("expected_total,") for l in lines)
 
 
+def test_energy_breakdown_writes_nothing_on_failure(capsys, monkeypatch,
+                                                   tmp_path):
+    import ecopull.cli
+    from ecopull.energy import QuadratureError
+
+    def fail(*args):
+        raise QuadratureError("no convergence")
+
+    monkeypatch.setattr(ecopull.cli, "p_th", fail)
+    rc, _, err = run_cli(capsys, "energy-breakdown", "--out", str(tmp_path))
+    assert rc == 3
+    assert "quadrature failure" in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_expected_energy_grid(capsys):
     rc, out, _ = run_cli(capsys, "expected-energy", "--vth-grid", "0.5,0.6",
                          "--r-grid", "1.0,2.0")
@@ -217,11 +232,11 @@ def test_config_errors_exit_code(capsys):
     ["optimize", "--gamma-th", "0.0"],
     ["compare", "--n-grid", "5", "--gamma-th", "0.0"],
 ])
-def test_score_commands_reject_fixed_frames(capsys, command):
+def test_score_commands_honour_fixed_frames(capsys, command):
     rc, _, err = run_cli(capsys, *command, "--set", "fixed_frames=2",
                          "--set", "images_per_device=4")
-    assert rc == 2
-    assert "fixed_frames" in err
+    assert rc == 0
+    assert "error" not in err
 
 
 def test_cli_outputs_are_byte_identical(tmp_path, capsys):
