@@ -7,12 +7,11 @@ Each function returns the values for every load ``k = 0..n`` at once.
 :func:`saddle_logpmf` is Loader's saddle-point method (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's ``dbinom``) in
 log form, and :func:`pmf` is its ``exp``: within 1e-14 of the exact value
-where that exceeds 1e-6 (within 2e-13 down to 1e-278), where
-``exp(logpmf)`` loses ~1e-12 to cancellation at large ``n``; it underflows
-only where the probability itself does, and the log form stays finite
-there. :func:`logpmf` is the expression ``scipy.stats.binom.logpmf``
-evaluates, in the same order, so it returns the same bits; it imports
-``scipy.special`` on its first call.
+where that exceeds 1e-6 (within 2e-13 down to 1e-278), where the
+log-gamma form ``scipy.stats.binom.logpmf`` evaluates loses ~1e-12 to
+cancellation at large ``n``; it underflows only where the probability
+itself does, and the log form stays finite there. Both the closed form
+and the Metropolis chain read this one law.
 """
 
 from __future__ import annotations
@@ -51,15 +50,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # below 2^-56 of its leading one
 _SERIES_CUT = 0.1
 _SERIES_EPS = 2.0 ** -56
-
-
-def logpmf(n: int, p: float) -> np.ndarray:
-    """``log P(Bin(n, p) = k)`` for ``k = 0..n``, bitwise as scipy.stats."""
-    from scipy.special import gammaln, xlog1py, xlogy
-
-    k = np.arange(n + 1, dtype=float)
-    combiln = gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1))
-    return combiln + xlogy(k, p) + xlog1py(n - k, -p)
 
 
 def _stirlerr(n: int) -> np.ndarray:

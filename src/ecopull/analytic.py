@@ -51,6 +51,9 @@ correction for the proposal's asymmetry (the eligible-bin count changes as
 bins empty or fill), so its stationary law is the multinomial;
 ``hastings=False`` gives the paper's plain probability ratio, whose
 stationary law is not.
+
+Both evaluators read one binomial law, ``_binomial.saddle_logpmf``, so
+neither loads scipy; only a Beta truth does.
 """
 
 from __future__ import annotations
@@ -62,9 +65,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _binomial
+from ._binomial import saddle_logpmf
 from .config import ScenarioConfig
-from .energy import p_th, quad_interval, gaussian_tail
+from .energy import _filtered_mass, p_th
 from .sifi import fidelity_distance
 
 __all__ = [
@@ -109,7 +112,7 @@ def realization_pmf(psi: Sequence[int], images_per_device: int,
             f"{images_per_device + 1}")
     if sum(psi) != device_count:
         return 0.0
-    log_rel = _binomial.logpmf(images_per_device, pass_probability)
+    log_rel = saddle_logpmf(images_per_device, pass_probability)
     total = math.lgamma(device_count + 1)
     for nu, q in enumerate(psi):
         if q == 0:
@@ -125,19 +128,6 @@ def p_delta(truth_threshold: float, truth) -> float:
     if not 0.0 <= truth_threshold <= 1.0:
         raise ValueError(f"truth_threshold={truth_threshold} outside [0, 1]")
     return float(1.0 - truth.cdf(truth_threshold))
-
-
-@lru_cache(maxsize=4096)
-def _detected_actual_mass(relevance_threshold: float, model_noise: float,
-                          truth, truth_threshold: float) -> float:
-    """Joint mass of being actually relevant and clearing the device filter."""
-
-    def integrand(beta):
-        return (gaussian_tail((relevance_threshold - beta) / model_noise)
-                * truth.density(beta))
-
-    return quad_interval(integrand, truth_threshold, 1.0,
-                         points=[relevance_threshold])
 
 
 def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
@@ -160,8 +150,8 @@ def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     if pdelta <= 0.0:
         return 1.0, 0.0
     p_omega = omega_nonempty_probability(cfg)
-    detect = _detected_actual_mass(cfg.relevance_threshold, cfg.model_noise,
-                                   cfg.truth_distribution, cfg.truth_threshold)
+    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
+                            cfg.truth_distribution, cfg.truth_threshold)
     kd = fidelity_distance(cfg.compression_rate)
     gamma = cfg.penalty
     offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
@@ -183,8 +173,8 @@ def score_terms(cfg: ScenarioConfig,
     if pdelta <= 0.0:
         return 1.0, 0.0, 0.0, 0.0
     p_omega = omega_nonempty_probability(cfg)
-    detect = _detected_actual_mass(cfg.relevance_threshold, cfg.model_noise,
-                                   cfg.truth_distribution, cfg.truth_threshold)
+    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
+                            cfg.truth_distribution, cfg.truth_threshold)
     gamma = cfg.penalty
     offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
     gain = gamma - fidelity_distance(cfg.compression_rate)
@@ -258,10 +248,10 @@ def _mean_fractions(device_count: int, images_per_device: int,
     loads = np.arange(images + 1)
     log_xr = np.log1p(-alpha_r * s)
     log_xn = np.log1p(-alpha_n * s)
-    # log P(c) in the saddle-point form: within 1e-14 in the bulk where
-    # logpmf loses ~1e-12 at N = 1000, which the power K-1 below amplifies,
-    # and finite in the tails where pmf underflows
-    log_p = _binomial.saddle_logpmf(images, pass_probability)
+    # log P(c) in the saddle-point form: within 1e-14 in the bulk, which
+    # the power K-1 below amplifies, and finite in the tails where pmf
+    # underflows
+    log_p = saddle_logpmf(images, pass_probability)
     # log of P(c) x_r^c x_n^(N-c)
     log_y = log_p + loads * log_xr + (images - loads) * log_xn
     top = log_y.max(axis=1, keepdims=True)
@@ -407,17 +397,10 @@ class ChainResult:
 
 
 @dataclass(frozen=True)
-class McmcResult:
-    """Metropolis estimate of the expected score plus chain diagnostics."""
+class McmcResult(ChainResult):
+    """A chain's outputs plus its estimate of the expected score."""
 
     estimate: float
-    samples: int
-    acceptance_rate: float
-    mean_success: float
-    invalid_states: int
-    checked_states: int
-    state_counts: Optional[dict] = None
-    success_trace: Optional[np.ndarray] = None
 
 
 def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
@@ -570,23 +553,15 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
     """Metropolis estimate of the expected score, with diagnostics."""
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
-    log_rel = _binomial.logpmf(cfg.images_per_device, pth)
+    log_rel = saddle_logpmf(cfg.images_per_device, pth)
     offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
     chain = run_chain(log_rel, cfg.device_count, cfg.frame_slots(),
                       samples, seed, relevance=(alpha_r, alpha_n),
                       burn_in=burn_in, hastings=hastings,
                       state_stride=state_stride, keep_trace=keep_trace,
                       check_every=check_every, frames=cfg.fixed_frames)
-    return McmcResult(
-        estimate=offset + gain * chain.mean_success,
-        samples=chain.samples,
-        acceptance_rate=chain.acceptance_rate,
-        mean_success=chain.mean_success,
-        invalid_states=chain.invalid_states,
-        checked_states=chain.checked_states,
-        state_counts=chain.state_counts,
-        success_trace=chain.success_trace,
-    )
+    return McmcResult(**vars(chain),
+                      estimate=offset + gain * chain.mean_success)
 
 
 def expected_sifi_mcmc(cfg: ScenarioConfig, samples: int, seed,

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .analytic import expected_sifi_exact, mcmc_expected_sifi
 from .config import (ConfigError, ScenarioConfig, _parse_json,
                      apply_overrides, dump_config, load_config)
-from .energy import (communication_energy, computation_energy,
-                     expected_total_energy, p_th)
+from .energy import (QuadratureError, communication_energy,
+                     computation_energy, expected_total_energy, p_th)
 from .experiments import (SweepSpec, compare_schemes, optimize,
                           render_csv, sweep_sifi_vs_rate)
 from .hardware import e_dram_access, e_muac, inference_breakdown
@@ -153,36 +154,27 @@ def _parse_grid(text: str, integer: bool = False) -> list:
     return values
 
 
-def _emit(args, name: str, csv_text: Optional[str] = None,
-          svg_text: Optional[str] = None) -> None:
-    if csv_text is not None and args.format in ("csv", "both"):
-        if args.out:
-            path = Path(args.out) / f"{name}.csv"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(csv_text, encoding="utf-8")
-            print(f"wrote {path}")
-        else:
-            sys.stdout.write(csv_text)
-    if svg_text is not None and args.format in ("svg", "both"):
-        if args.out:
-            path = Path(args.out) / f"{name}.svg"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(svg_text, encoding="utf-8")
-            print(f"wrote {path}")
-        else:
-            sys.stdout.write(svg_text)
-
-
-def _cmd_print_config(args) -> int:
-    cfg = _load(args)
-    text = dump_config(cfg) + "\n"
+def _write(args, filename: str, text: str) -> None:
+    """Write ``text`` to ``filename`` under ``--out``, or to stdout."""
     if args.out:
-        path = Path(args.out) / "config.json"
+        path = Path(args.out) / filename
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
         print(f"wrote {path}")
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, name: str, csv_text: Optional[str] = None,
+          svg_text: Optional[str] = None) -> None:
+    if csv_text is not None and args.format in ("csv", "both"):
+        _write(args, f"{name}.csv", csv_text)
+    if svg_text is not None and args.format in ("svg", "both"):
+        _write(args, f"{name}.svg", svg_text)
+
+
+def _cmd_print_config(args) -> int:
+    _write(args, "config.json", dump_config(_load(args)) + "\n")
     return 0
 
 
@@ -347,13 +339,12 @@ def _cmd_energy_breakdown(args) -> int:
 
 def _cmd_expected_energy(args) -> int:
     cfg = _load(args)
-    from dataclasses import replace as _replace
     header = ["relevance_threshold", "rate", "expected_energy"]
     rows = []
     for vth in _parse_grid(args.vth_grid):
         for rate in _parse_grid(args.r_grid):
-            point = _replace(cfg, relevance_threshold=vth,
-                             compression_rate=rate)
+            point = replace(cfg, relevance_threshold=vth,
+                            compression_rate=rate)
             rows.append([vth, rate, expected_total_energy(point)])
     _emit(args, "expected_energy", csv_text=render_csv(header, rows))
     return 0
@@ -372,8 +363,6 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from .energy import QuadratureError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

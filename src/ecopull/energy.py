@@ -177,19 +177,22 @@ def p_th(relevance_threshold: float, model_noise: float,
             f"relevance_threshold={relevance_threshold} outside [0, 1]")
     if model_noise <= 0:
         raise ValueError(f"model_noise={model_noise} must be > 0")
-    return _p_th(relevance_threshold, model_noise, truth)
+    return _filtered_mass(relevance_threshold, model_noise, truth, 0.0)
 
 
 @lru_cache(maxsize=4096)
-def _p_th(relevance_threshold: float, model_noise: float,
-          truth: TruthDistribution) -> float:
+def _filtered_mass(relevance_threshold: float, model_noise: float,
+                   truth: TruthDistribution, lower: float) -> float:
+    """Mass of true similarities in [lower, 1] whose noisy score clears the
+    threshold: ``p_th`` at ``lower = 0``, and at the truth threshold the
+    joint mass of being actually relevant and passing the filter."""
     # a grid search asks for the same threshold once per rate and library
     # size; truth distributions are frozen, so they can key the cache
     def integrand(beta):
         return (gaussian_tail((relevance_threshold - beta) / model_noise)
                 * truth.density(beta))
 
-    return quad_interval(integrand, 0.0, 1.0,
+    return quad_interval(integrand, lower, 1.0,
                          points=[relevance_threshold])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -246,3 +247,27 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     rc2, out2, _ = run_cli(capsys, *args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, digests", [
+    # criterion 7's chain argv
+    (["analyze", "--mode", "mcmc", "--samples", "2000", "--seed", "5",
+      "--trace", "--set", "images_per_device=6", "--set", "device_count=3"],
+     {"analyze.csv": ("e4a2344982b6c0668cf1ad6664d72bbd"
+                      "a68898cce5379d93a2b7ffa06b615f96"),
+      "analyze_trace.csv": ("4291585d2a60f476c52c4fce926d8cb2"
+                            "1e24a087095c4290a6b532748c73ae3d")}),
+    # K=50, N=1000, where the saddle-point and log-gamma laws differ most
+    (["analyze", "--mode", "mcmc", "--samples", "20000", "--seed", "3",
+      "--set", "device_count=50", "--set", "images_per_device=1000"],
+     {"analyze.csv": ("7936d58aeb2ed05fea5704b4d9b7ac4a"
+                      "dcbe75534c2d7a922831cd3c71ba1b30")}),
+])
+def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
+    # recorded when the chain read the log-gamma law of scipy.stats.binom,
+    # which differs from saddle_logpmf by up to 1.9e-12
+    rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 0
+    for name, digest in digests.items():
+        content = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(content).hexdigest() == digest

@@ -273,8 +273,8 @@ def _fresh_interpreter(code, out):
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    # the quadrature, the normal tail and the closed form's log P(c) run on
-    # numpy; scipy.special is loaded only by the chain and Beta truths
+    # the quadrature, the normal tail and both score paths' log P(c) run on
+    # numpy; scipy.special is loaded only by Beta truths
     code = (
         "import sys\n"
         "import ecopull, ecopull.cli\n"
@@ -282,6 +282,9 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         "out = sys.argv[1]\n"
         "for argv in (['simulate', '--rounds', '50'], ['compare', '--n-grid', '5'],\n"
         "             ['analyze', '--mode', 'exact', '--set', 'images_per_device=10'],\n"
+        "             ['analyze', '--mode', 'mcmc', '--samples', '200'],\n"
+        "             ['sweep-sifi', '--mode', 'mcmc', '--grid', '1.0,2.0',\n"
+        "              '--samples', '200'],\n"
         "             ['energy-breakdown'], ['expected-energy']):\n"
         "    assert ecopull.cli.main(argv + ['--out', out]) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
