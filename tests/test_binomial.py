@@ -8,11 +8,22 @@ from ecopull import _binomial
 
 SIZES = (0, 1, 4, 100, 1000, 100_000)
 PROBABILITIES = (0.0, 1e-12, 0.31, 0.5, 1.0 - 1e-12, 1.0)
+LOG_SIZES = (0, 1, 7, 100, 1000, 20_000)
+LOG_PROBABILITIES = (0.0, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 
 
-@pytest.mark.parametrize("n", (0, 1, 7, 100, 1000, 20_000))
-@pytest.mark.parametrize("p", (0.0, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.9,
-                               1.0 - 1e-9, 1.0))
+@pytest.mark.parametrize("p, n", [(p, n) for p in LOG_PROBABILITIES
+                                  for n in LOG_SIZES
+                                  if n == 0 or p in (0.0, 1.0)])
+def test_logpmf_is_bitwise_scipy(n, p):
+    # a degenerate law (no trial, or a sure outcome) is exact in both forms:
+    # 0 at its one load and -inf elsewhere, which fixes the chain's support
+    expected = binom.logpmf(np.arange(n + 1), n, p)
+    assert np.array_equal(_binomial.saddle_logpmf(n, p), expected)
+
+
+@pytest.mark.parametrize("n", LOG_SIZES)
+@pytest.mark.parametrize("p", LOG_PROBABILITIES)
 def test_saddle_logpmf_matches_scipy_logpmf(n, p):
     # the Metropolis chain reads the log form, also in the tails where pmf
     # underflows. scipy's log-gamma form cancels terms as large as
