@@ -9,11 +9,10 @@ comparisons.
 """
 
 from .analytic import (ChainResult, McmcResult, compositions,
-                       expected_sifi_exact, expected_sifi_mcmc,
-                       mcmc_expected_sifi, omega_nonempty_probability,
-                       p_delta, realization_pmf, run_chain, sifi_affine)
-from .baselines import (BaselineAssumptions, baseline_energy,
-                        energy_saving_ratio, tinyairnet_energy)
+                       expected_sifi_exact, mcmc_expected_sifi,
+                       omega_nonempty_probability, p_delta, realization_pmf,
+                       run_chain, sifi_affine)
+from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
                      ModelCost, PNG_BPP, RadioProfile, ScenarioConfig,
                      TruthDistribution, UniformTruth, apply_overrides,
@@ -22,7 +21,7 @@ from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
 from .energy import (EnergyBreakdown, QuadratureError, communication_energy,
                      computation_energy, device_energy, expected_total_energy,
                      fixed_overhead_energy, gaussian_tail, model_load_total,
-                     p_rel, p_th, per_relevant_image_energy, quad_interval,
+                     p_th, per_relevant_image_energy, quad_interval,
                      rel_count_pmf)
 from .experiments import (CompareResult, CompareRow, GridPoint,
                           OptimizationResult, SweepRow, SweepSpec,

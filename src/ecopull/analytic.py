@@ -79,7 +79,6 @@ __all__ = [
     "score_terms",
     "expected_sifi_exact",
     "expected_sifi_over_rates",
-    "expected_sifi_mcmc",
     "mcmc_expected_sifi",
     "McmcResult",
     "ChainResult",
@@ -441,6 +440,8 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     """
     if samples < 1:
         raise ValueError(f"samples={samples} must be >= 1")
+    if burn_in < 0:
+        raise ValueError(f"burn_in={burn_in} must be >= 0")
     n_bins = len(log_rel)
     log_rel = [float(v) for v in log_rel]
     alpha_r, alpha_n = relevance
@@ -563,9 +564,3 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
     return McmcResult(**vars(chain),
                       estimate=offset + gain * chain.mean_success)
 
-
-def expected_sifi_mcmc(cfg: ScenarioConfig, samples: int, seed,
-                       burn_in: int = 0, hastings: bool = True) -> float:
-    """Metropolis estimate of the expected score (estimate only)."""
-    return mcmc_expected_sifi(cfg, samples, seed, burn_in=burn_in,
-                              hastings=hastings).estimate

@@ -282,8 +282,6 @@ def _cmd_compare(args) -> int:
     cfg = _load(args)
     n_grid = _parse_grid(args.n_grid, integer=True)
     result = compare_schemes(cfg, n_grid, args.gamma_th)
-    for line in result.assumptions.describe():
-        print(f"# assumption {line}")
     header = ["images_per_device", "eta_ecopull", "eta_tinyairnet",
               "relevance_threshold", "rate", "sifi", "energy_ecopull",
               "energy_tinyairnet", "energy_baseline", "feasible"]
@@ -369,6 +367,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # the library's own argument checks (rounds, samples, gamma_th, ...)
+        print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)

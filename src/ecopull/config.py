@@ -263,7 +263,6 @@ class ScenarioConfig:
     model_noise: Optional[float] = None  # score noise std; default 1/tx_bits
     query_length: int = 512              # semantic query vector dimension
     fixed_frames: Optional[int] = None   # cap frames instead of draining queues
-    single_sram_load: bool = False       # charge both weight pools at behavior SRAM width
     radio: RadioProfile = field(default_factory=RadioProfile)
     image: ImageGeometry = field(default_factory=ImageGeometry)
     behavior_hw: HardwareProfile = field(default_factory=HardwareProfile)

@@ -33,7 +33,6 @@ __all__ = [
     "fixed_overhead_energy",
     "per_relevant_image_energy",
     "p_th",
-    "p_rel",
     "rel_count_pmf",
     "expected_total_energy",
     "expected_energy_over_rates",
@@ -94,15 +93,9 @@ def quad_interval(func, lo: float, hi: float,
 def model_load_total(cfg: ScenarioConfig) -> float:
     """One-time energy to stage both models' weights in SRAM, in joules.
 
-    Each model is charged at its own SRAM width by default; with
-    ``single_sram_load`` both weight pools are charged at the behavior
-    model's width (the two readings coincide for a DRAM cost linear in the
-    access width, but the knob keeps the alternative auditable).
+    Each model is charged at its own chip: the behavior model on
+    ``behavior_hw``, the compressor on ``compressor_hw``.
     """
-    if cfg.single_sram_load:
-        merged = cfg.compressor_model
-        return (model_load_energy(cfg.behavior_hw, cfg.behavior_model)
-                + model_load_energy(cfg.behavior_hw, merged))
     return (model_load_energy(cfg.behavior_hw, cfg.behavior_model)
             + model_load_energy(cfg.compressor_hw, cfg.compressor_model))
 
@@ -194,16 +187,6 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
 
     return quad_interval(integrand, lower, 1.0,
                          points=[relevance_threshold])
-
-
-def p_rel(relevant_count: int, images_per_device: int,
-          pass_probability: float) -> float:
-    """Probability a device ends up with exactly ``relevant_count`` images."""
-    if not 0 <= relevant_count <= images_per_device:
-        raise ValueError(
-            f"relevant_count={relevant_count} outside [0, {images_per_device}]")
-    return float(_binomial.pmf(images_per_device,
-                               pass_probability)[relevant_count])
 
 
 def rel_count_pmf(images_per_device: int, pass_probability: float) -> np.ndarray:

@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import expected_sifi_mcmc, expected_sifi_over_rates
-from .baselines import (BaselineAssumptions, baseline_energy,
-                        energy_saving_ratio, tinyairnet_energy)
+from .analytic import expected_sifi_over_rates, mcmc_expected_sifi
+from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import ScenarioConfig, _warn_if_penalty_below_distance
 from .energy import expected_energy_over_rates
 from .sim import simulate
@@ -81,7 +80,7 @@ def sweep_sifi_vs_rate(spec: SweepSpec) -> list[SweepRow]:
         slots = cfg.frame_slots()
         mcmc = sim = stderr = None
         if spec.mode in ("mcmc", "both"):
-            mcmc = expected_sifi_mcmc(cfg, spec.samples, spec.seed)
+            mcmc = mcmc_expected_sifi(cfg, spec.samples, spec.seed).estimate
         if spec.mode in ("simulate", "both"):
             aggregate = simulate(cfg, spec.rounds, spec.seed)
             sim = aggregate.mean_sifi
@@ -205,13 +204,11 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareResult:
     rows: list[CompareRow]
-    assumptions: BaselineAssumptions
     gamma_th: float
 
 
 def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
                     gamma_th: float,
-                    assumptions: Optional[BaselineAssumptions] = None,
                     vth_grid: Optional[Sequence[float]] = None,
                     rate_grid: Optional[Sequence[float]] = None
                     ) -> CompareResult:
@@ -223,7 +220,6 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
     feasible grid point reports NaN ratios and is flagged, rather than
     failing the whole comparison.
     """
-    assumptions = assumptions or BaselineAssumptions()
     rows = []
     for n in n_grid:
         base_cfg = replace(cfg, images_per_device=int(n))
@@ -235,12 +231,12 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
                 eta_tinyairnet=math.nan, relevance_threshold=None,
                 rate=None, sifi=None, energy_ecopull=math.nan,
                 energy_tinyairnet=math.nan,
-                energy_baseline=baseline_energy(base_cfg, assumptions),
+                energy_baseline=baseline_energy(base_cfg),
                 feasible=False))
             continue
         eco = result.energy
-        tiny = tinyairnet_energy(base_cfg, assumptions)
-        base = baseline_energy(base_cfg, assumptions)
+        tiny = tinyairnet_energy(base_cfg)
+        base = baseline_energy(base_cfg)
         rows.append(CompareRow(
             images_per_device=int(n),
             eta_ecopull=energy_saving_ratio(eco, base),
@@ -248,8 +244,7 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
             relevance_threshold=result.relevance_threshold,
             rate=result.rate, sifi=result.sifi, energy_ecopull=eco,
             energy_tinyairnet=tiny, energy_baseline=base, feasible=True))
-    return CompareResult(rows=rows, assumptions=assumptions,
-                         gamma_th=gamma_th)
+    return CompareResult(rows=rows, gamma_th=gamma_th)
 
 
 # --- CSV rendering -----------------------------------------------------------

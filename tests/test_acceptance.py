@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import chisquare
 
 from ecopull import (compare_schemes, compositions, expected_sifi_exact,
-                     expected_sifi_mcmc, expected_total_energy,
+                     expected_total_energy,
                      fixed_overhead_energy, load_config, mcmc_expected_sifi,
                      p_th, per_relevant_image_energy, realization_pmf,
                      simulate, UniformTruth)
@@ -39,7 +39,7 @@ def test_criterion_1_analysis_vs_simulation_agreement():
         for rate in (1.0, 1.5, 2.0, 3.0, 4.5):
             cfg = load_config({"slot_coefficient": coeff,
                                "compression_rate": rate})
-            analytic = expected_sifi_mcmc(cfg, 10_000, 1)
+            analytic = mcmc_expected_sifi(cfg, 10_000, 1).estimate
             simulated = simulate(cfg, 10_000, 1).mean_sifi
             diff = abs(analytic - simulated)
             rows.append(f"c_L={coeff} r={rate} L={cfg.frame_slots()}: "
@@ -65,7 +65,7 @@ def test_criterion_2_exact_oracle_equivalence():
                            "slot_coefficient": None,
                            "relevance_threshold": vth})
         exact = expected_sifi_exact(cfg)
-        sampled = expected_sifi_mcmc(cfg, 100_000, 2)
+        sampled = mcmc_expected_sifi(cfg, 100_000, 2).estimate
         simulated = simulate(cfg, 100_000, 2).mean_sifi
         d_sim = abs(exact - simulated)
         d_mcmc = abs(exact - sampled)

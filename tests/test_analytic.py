@@ -9,8 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, multinomial, norm
 
 from ecopull import (ConfigError, UniformTruth, compositions,
-                     expected_sifi_exact,
-                     expected_sifi_mcmc, fidelity_distance, load_config,
+                     expected_sifi_exact, fidelity_distance, load_config,
                      mcmc_expected_sifi, omega_nonempty_probability, p_delta,
                      p_th, realization_pmf, sifi_affine, simulate)
 from ecopull.analytic import (_mean_fractions, _panel_rule,
@@ -266,7 +265,7 @@ def test_exact_matches_simulation_at_scale():
 
 def test_mcmc_point_mass_scores_one():
     cfg = cfg_for(3, 4, 4, truth_threshold=1.0)
-    assert expected_sifi_mcmc(cfg, 1, 0) == 1.0
+    assert mcmc_expected_sifi(cfg, 1, 0).estimate == 1.0
 
 
 @pytest.mark.parametrize("frames", [1, 3, 10])
@@ -286,27 +285,27 @@ def test_mcmc_honours_fixed_frames():
     cfg = cfg_for(5, 6, 15, fixed_frames=2)
     exact = expected_sifi_exact(cfg)
     assert exact < expected_sifi_exact(replace(cfg, fixed_frames=None))
-    estimate = expected_sifi_mcmc(cfg, 10_000, 3)
+    estimate = mcmc_expected_sifi(cfg, 10_000, 3).estimate
     assert abs(estimate - exact) < 0.01
 
 
 def test_mcmc_is_deterministic():
     cfg = cfg_for(5, 6, 15)
-    assert (expected_sifi_mcmc(cfg, 5000, 12)
-            == expected_sifi_mcmc(cfg, 5000, 12))
+    assert (mcmc_expected_sifi(cfg, 5000, 12).estimate
+            == mcmc_expected_sifi(cfg, 5000, 12).estimate)
 
 
 def test_mcmc_matches_exact_small_instance():
     cfg = cfg_for(5, 6, 15)
     exact = expected_sifi_exact(cfg)
-    estimate = expected_sifi_mcmc(cfg, 10_000, 3)
+    estimate = mcmc_expected_sifi(cfg, 10_000, 3).estimate
     assert abs(estimate - exact) < 0.01
 
 
 def test_hastings_mode_removes_proposal_bias():
     cfg = cfg_for(5, 6, 2, relevance_threshold=0.5)
     exact = expected_sifi_exact(cfg)
-    corrected = [expected_sifi_mcmc(cfg, 60_000, s, hastings=True)
+    corrected = [mcmc_expected_sifi(cfg, 60_000, s, hastings=True).estimate
                  for s in (1, 2, 3)]
     assert abs(np.mean(corrected) - exact) < 0.005
 
@@ -338,7 +337,7 @@ def test_chain_visits_follow_pmf_in_corrected_mode():
 def test_mcmc_estimate_stays_in_unit_interval():
     for seed in range(5):
         cfg = cfg_for(4, 5, 3, relevance_threshold=0.7)
-        value = expected_sifi_mcmc(cfg, 2000, seed)
+        value = mcmc_expected_sifi(cfg, 2000, seed).estimate
         assert 0.0 <= value <= 1.0
 
 
@@ -348,7 +347,7 @@ def test_single_slot_channel_is_supported():
     exact = expected_sifi_exact(cfg)
     assert 0.0 <= exact <= 1.0
     # corrected chain: the plain ratio's bias peaks on one-slot channels
-    sampled = expected_sifi_mcmc(cfg, 50_000, 7, hastings=True)
+    sampled = mcmc_expected_sifi(cfg, 50_000, 7, hastings=True).estimate
     assert abs(exact - sampled) < 0.01
 
 
@@ -365,7 +364,7 @@ def test_chain_starts_in_typical_set():
     cfg = load_config({"device_count": 50, "images_per_device": 1000})
     exact = expected_sifi_exact(cfg)
     for seed in (1, 2, 3):
-        sampled = expected_sifi_mcmc(cfg, 10_000, seed, burn_in=0)
+        sampled = mcmc_expected_sifi(cfg, 10_000, seed, burn_in=0).estimate
         assert abs(sampled - exact) < 0.002
 
 
@@ -374,3 +373,10 @@ def test_burn_in_discards_early_samples():
     cold = mcmc_expected_sifi(cfg, 2000, 4, burn_in=0)
     warm = mcmc_expected_sifi(cfg, 2000, 4, burn_in=500)
     assert cold.estimate != warm.estimate
+
+
+def test_negative_burn_in_is_rejected():
+    # a negative burn-in would run fewer steps than the chain averages over
+    cfg = cfg_for(5, 6, 10)
+    with pytest.raises(ValueError, match="burn_in"):
+        mcmc_expected_sifi(cfg, 10, 0, burn_in=-5)

@@ -1,8 +1,8 @@
 import pytest
 
-from ecopull import (BaselineAssumptions, baseline_energy,
-                     energy_saving_ratio, expected_total_energy, load_config,
-                     p_th, tinyairnet_energy)
+from ecopull import (baseline_energy, energy_saving_ratio,
+                     expected_total_energy, inference_energy, load_config,
+                     model_load_energy, p_th, tinyairnet_energy)
 
 
 def test_baseline_energy_single_image():
@@ -23,8 +23,6 @@ def test_baseline_has_no_ml_terms():
     assert baseline_energy(cfg) == pytest.approx(
         10 * cfg.radio.tx_power * 4.86 * 640 * 480 / cfg.radio.rate,
         rel=1e-12)
-    with_rx = baseline_energy(cfg, BaselineAssumptions(baseline_query_rx=True))
-    assert with_rx > baseline_energy(cfg)
 
 
 def test_tinyairnet_between_its_endpoints():
@@ -33,18 +31,15 @@ def test_tinyairnet_between_its_endpoints():
                cfg.truth_distribution)
     base = baseline_energy(cfg)
     tiny = tinyairnet_energy(cfg)
-    fixed = tinyairnet_energy(
-        cfg, BaselineAssumptions(png_rate=1e-300))  # transmissions off
+    # scoring all N images, staging the weights, receiving model and query
+    fixed = (20 * inference_energy(cfg.behavior_hw, cfg.behavior_model,
+                                   cfg.image)
+             + model_load_energy(cfg.behavior_hw, cfg.behavior_model)
+             + cfg.radio.rx_power
+             * (cfg.behavior_model.size * cfg.behavior_model.tx_bits
+                + cfg.query_length * cfg.behavior_hw.sram_bits)
+             / cfg.radio.rate)
     assert tiny == pytest.approx(fixed + pth * base, rel=1e-6)
-
-
-def test_tinyairnet_term_toggles():
-    cfg = load_config({"images_per_device": 10})
-    everything = tinyairnet_energy(cfg)
-    for flag in ("filter_inference", "filter_model_load", "filter_model_rx",
-                 "filter_query_rx"):
-        reduced = tinyairnet_energy(cfg, BaselineAssumptions(**{flag: False}))
-        assert reduced < everything
 
 
 def test_saving_ratio():

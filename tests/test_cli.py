@@ -95,13 +95,13 @@ def test_optimize_infeasible_is_reported_not_fatal(capsys):
     assert "constraint" in err
 
 
-def test_compare_prints_assumptions(capsys):
+def test_compare_stdout_is_the_csv(capsys):
     rc, out, _ = run_cli(capsys, "compare", "--n-grid", "5,10",
                          "--gamma-th", "0.0", "--samples", "200")
     assert rc == 0
-    assert "# assumption png_rate=4.86" in out
-    header = [l for l in out.splitlines() if l.startswith("images_per_device")]
-    assert header and header[0].split(",")[1] == "eta_ecopull"
+    lines = out.splitlines()
+    assert lines[0].split(",")[:2] == ["images_per_device", "eta_ecopull"]
+    assert len(lines) == 3
 
 
 def test_energy_breakdown_rows(capsys):
@@ -227,6 +227,22 @@ def test_config_errors_exit_code(capsys):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--rounds", "0"],
+    ["analyze", "--samples", "0"],
+    ["analyze", "--samples", "10", "--burn-in", "-5",
+     "--set", "images_per_device=6"],
+    ["optimize", "--gamma-th", "2"],
+    ["sweep-sifi", "--grid", "2,1", "--mode", "exact"],
+])
+def test_bad_numeric_arguments_exit_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("command", [
     ["analyze", "--mode", "exact"],
     ["analyze", "--mode", "mcmc", "--samples", "100"],
@@ -262,10 +278,23 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
       "--set", "device_count=50", "--set", "images_per_device=1000"],
      {"analyze.csv": ("7936d58aeb2ed05fea5704b4d9b7ac4a"
                       "dcbe75534c2d7a922831cd3c71ba1b30")}),
+    # the comparison schemes' energies, over the default library-size grid
+    (["compare", "--n-grid", "5:100:5", "--gamma-th", "0.8"],
+     {"compare.csv": ("5132029be8a36582adca92ffaaa14ac8"
+                      "cb7409df9e8fe04c8a11638beb60f854")}),
+    # a compressor chip whose SRAM width differs from the behavior chip's:
+    # each model's weights are staged at its own chip
+    (["energy-breakdown", "--set", "compressor_hw.muac_bits=32"],
+     {"energy_breakdown.csv": ("b66ab03b0b81d2b7407e50e6ffea6326"
+                               "49e79c628e207d0ea6109aedd429d92d"),
+      "device_energy.csv": ("8f3c886e8b6f64a64245a4d88ffbde56"
+                            "1e81f4c74be895e1ff89d1e65a53f880")}),
 ])
 def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
-    # recorded when the chain read the log-gamma law of scipy.stats.binom,
-    # which differs from saddle_logpmf by up to 1.9e-12
+    # the chain digests were recorded when it read the log-gamma law of
+    # scipy.stats.binom, which differs from saddle_logpmf by up to 1.9e-12;
+    # the compare and energy-breakdown digests when the comparison schemes
+    # and the weight-staging term still had switches
     rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert rc == 0
     for name, digest in digests.items():

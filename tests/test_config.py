@@ -191,6 +191,11 @@ def test_slot_duration_rejected_as_unknown_field():
         load_config({"radio": {"slot_duration": 3.0}})
 
 
+def test_single_sram_load_rejected_as_unknown_field():
+    with pytest.raises(ConfigError, match="unknown field single_sram_load"):
+        load_config({"single_sram_load": True})
+
+
 def test_partial_nested_mapping_keeps_the_field_defaults():
     # parallelism=64 is the compressor's default; sram_bits must stay 16
     cfg = load_config({"compressor_hw": {"parallelism": 64}})

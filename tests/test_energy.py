@@ -6,9 +6,8 @@ import pytest
 from ecopull import (UniformTruth, communication_energy, computation_energy,
                      device_energy, expected_total_energy,
                      fixed_overhead_energy, inference_energy, load_config,
-                     model_load_total, p_rel, p_th, per_relevant_image_energy,
+                     model_load_total, p_th, per_relevant_image_energy,
                      rel_count_pmf, simulate)
-from ecopull.cli import main as cli_main
 
 LOAD = 4.622336e-4 + 8.71424e-6  # both models staged in SRAM
 
@@ -31,52 +30,13 @@ def test_computation_energy_reference_point():
     assert value == pytest.approx(100 * 7.0061724258e-4
                                   + 40 * 2.7344169200e-3 + LOAD, rel=1e-9)
     assert value - LOAD == pytest.approx(0.1794, abs=5e-4)
+    assert model_load_total(cfg) == pytest.approx(LOAD, rel=1e-9)
 
 
 def test_computation_energy_rejects_excess_count():
     cfg = load_config({"images_per_device": 10})
     with pytest.raises(ValueError, match="relevant_count"):
         computation_energy(cfg, 11)
-
-
-def test_single_sram_load_toggle_matches_split_reading():
-    # the DRAM unit is linear in the SRAM width, so the width cancels and
-    # both readings of the weight-staging term coincide
-    split = load_config()
-    merged = load_config({"single_sram_load": True})
-    assert model_load_total(split) == pytest.approx(LOAD, rel=1e-9)
-    assert model_load_total(merged) == pytest.approx(model_load_total(split),
-                                                     rel=1e-12)
-
-
-def test_single_sram_load_reaches_every_energy_path(capsys):
-    # at a 32-bit compressor width the two readings part: charging the
-    # compressor's weights at the behavior model's width adds 4.357e-6 J,
-    # and every per-device energy must move by exactly that
-    split = load_config({"compressor_hw": {"muac_bits": 32}})
-    merged = replace(split, single_sram_load=True)
-    step = model_load_total(merged) - model_load_total(split)
-    assert step == pytest.approx(4.35712e-6, rel=1e-9)
-    for form in ("sum", "closed"):
-        assert (expected_total_energy(merged, form)
-                - expected_total_energy(split, form)
-                == pytest.approx(step, abs=1e-12))
-    assert (simulate(merged, 50, 3).mean_total_energy
-            - simulate(split, 50, 3).mean_total_energy
-            == pytest.approx(step, abs=1e-12))
-    rows = {}
-    for cfg, flag in ((split, "false"), (merged, "true")):
-        assert cli_main(["energy-breakdown", "--set",
-                         "compressor_hw.muac_bits=32", "--set",
-                         f"single_sram_load={flag}"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        rows[flag] = float(next(line for line in lines
-                                if line.startswith("expected_total,")
-                                ).split(",")[1])
-        assert rows[flag] == pytest.approx(expected_total_energy(cfg),
-                                           rel=1e-8)
-    # the cells carry 9 significant digits: a unit in the 7th decimal here
-    assert rows["true"] - rows["false"] == pytest.approx(step, abs=1e-7)
 
 
 def test_communication_energy_fixed_part():
@@ -142,13 +102,10 @@ def test_p_th_input_validation():
 
 
 def test_p_rel_values():
-    assert p_rel(0, 10, 0.0) == pytest.approx(1.0)
-    assert p_rel(1, 2, 0.5) == pytest.approx(0.5)
-    total = sum(p_rel(nu, 100, 0.4) for nu in range(101))
-    assert total == pytest.approx(1.0, abs=1e-12)
+    # P_rel, the law of a device's relevant-image count, is rel_count_pmf
+    assert rel_count_pmf(10, 0.0)[0] == pytest.approx(1.0)
+    assert rel_count_pmf(2, 0.5)[1] == pytest.approx(0.5)
     assert rel_count_pmf(100, 0.4).sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="relevant_count"):
-        p_rel(11, 10, 0.5)
 
 
 def test_expected_energy_sum_equals_closed_form():
