@@ -418,7 +418,7 @@ def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
 
 
 def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
-              samples: int, seed, *, relevance: tuple[float, float],
+              samples: int, seed: int, *, relevance: tuple[float, float],
               burn_in: int = 0, hastings: bool = True, state_stride: int = 0,
               keep_trace: bool = False, check_every: int = 1000,
               frames: Optional[int] = None) -> ChainResult:
@@ -442,6 +442,8 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
         raise ValueError(f"samples={samples} must be >= 1")
     if burn_in < 0:
         raise ValueError(f"burn_in={burn_in} must be >= 0")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     n_bins = len(log_rel)
     log_rel = [float(v) for v in log_rel]
     alpha_r, alpha_n = relevance
@@ -547,7 +549,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     )
 
 
-def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed,
+def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed: int,
                        burn_in: int = 0, hastings: bool = True,
                        state_stride: int = 0, keep_trace: bool = False,
                        check_every: int = 1000) -> McmcResult:

@@ -149,8 +149,14 @@ def _parse_grid(text: str, integer: bool = False) -> list:
             k += 1
     else:
         values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ConfigError(f"grid {text!r} is empty")
     if integer:
-        values = [int(round(v)) for v in values]
+        for value in values:
+            if not value.is_integer():
+                raise ConfigError(f"grid {text!r} holds {value}, "
+                                  "not an integer")
+        values = [int(v) for v in values]
     return values
 
 
@@ -254,7 +260,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _load(args)
-    result = optimize(cfg, args.gamma_th, images_per_device=args.images)
+    result = optimize(cfg, args.gamma_th, images_per_device=args.images,
+                      full_grid=args.full_grid)
     header = ["feasible", "relevance_threshold", "rate", "slots", "sifi",
               "expected_energy", "gamma_th"]
     if result.feasible:

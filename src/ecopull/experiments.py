@@ -1,11 +1,13 @@
 """Experiment harness: rate sweeps, constrained grid search, scheme comparison.
 
-The grid search scores every point with the closed form
+The grid search scores points with the closed form
 :func:`~ecopull.analytic.expected_sifi_exact`, so its feasibility boundary
-and argmin carry no sampling noise and depend on no seed. It scores all
-rates of one threshold in one call, which shares the threshold's
-quadratures and sums over loads between them. Rate sweeps in ``mcmc`` mode
-run one Metropolis chain per grid point with the sweep's seed.
+and argmin carry no sampling noise and depend on no seed. It scores only
+the points that are no dearer than the best feasible one found so far, and
+all scored rates of one threshold in one call, which shares the
+threshold's quadratures and sums over loads between them. Rate sweeps in
+``mcmc`` mode run one Metropolis chain per grid point with the sweep's
+seed.
 """
 
 from __future__ import annotations
@@ -103,7 +105,13 @@ class GridPoint:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of the constrained grid search."""
+    """Outcome of the constrained grid search.
+
+    ``grid`` holds the scored points in grid order, thresholds outer and
+    rates inner: every point under ``optimize(..., full_grid=True)``,
+    otherwise those the search did not prune. A pruned point costs more
+    than the optimum; with no feasible point nothing is pruned.
+    """
 
     feasible: bool
     relevance_threshold: Optional[float]
@@ -133,18 +141,25 @@ def default_rate_grid(step: float = 0.0667) -> tuple[float, ...]:
 def optimize(cfg: ScenarioConfig, gamma_th: float,
              images_per_device: Optional[int] = None,
              vth_grid: Optional[Sequence[float]] = None,
-             rate_grid: Optional[Sequence[float]] = None
-             ) -> OptimizationResult:
+             rate_grid: Optional[Sequence[float]] = None,
+             full_grid: bool = False) -> OptimizationResult:
     """Minimum expected energy over (threshold, rate) subject to a score floor.
 
-    Every grid point is scored exactly: its ``sifi``, ``energy`` and
-    ``slots`` are bitwise :func:`expected_sifi_exact`,
-    ``expected_total_energy(form="closed")`` and ``frame_slots()`` of the
-    config at that point, computed one threshold at a time. Ties break
-    deterministically: lowest energy, then highest score, then smallest
-    rate, then smallest threshold. An empty feasible set is reported, not
-    raised. Like a config, it warns when the penalty is below the fidelity
-    distance of its smallest rate.
+    Every point's energy is taken first, one threshold at a time, and is
+    bitwise ``expected_total_energy(form="closed")`` of the config at that
+    point. Scoring is a branch and bound on those energies: thresholds are
+    visited cheapest point first, a rate is scored only while its energy is
+    at most the best feasible energy found so far (every rate is scored
+    while none is feasible), and the search stops at the first threshold
+    whose cheapest point costs more. A skipped point costs more than the
+    optimum, so it cannot win; ``full_grid=True`` scores every point.
+
+    A scored point's ``sifi`` and ``slots`` are bitwise
+    :func:`expected_sifi_exact` and ``frame_slots()`` of the config at that
+    point. Ties break deterministically: lowest energy, then highest
+    score, then smallest rate, then smallest threshold. An empty feasible
+    set is reported, not raised. Like a config, it warns when the penalty
+    is below the fidelity distance of its smallest rate.
     """
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError(f"gamma_th={gamma_th} outside [0, 1]")
@@ -158,25 +173,38 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
                                         stacklevel=3)
 
     slot_grid = [cfg.frame_slots(rate) for rate in rate_grid]
-    points: list[GridPoint] = []
+    threshold_cfgs = [replace(cfg, relevance_threshold=vth)
+                      for vth in vth_grid]
+    energy_rows = [expected_energy_over_rates(threshold_cfg, rate_grid)
+                   for threshold_cfg in threshold_cfgs]
+    cheapest = [min(row, default=math.inf) for row in energy_rows]
+    scored: list[list[GridPoint]] = [[] for _ in vth_grid]
     best: Optional[GridPoint] = None
     best_key = None
-    for vth in vth_grid:
-        threshold_cfg = replace(cfg, relevance_threshold=vth)
-        scores = expected_sifi_over_rates(threshold_cfg, rate_grid)
-        energies = expected_energy_over_rates(threshold_cfg, rate_grid)
-        for rate, slots, sifi, energy in zip(rate_grid, slot_grid, scores,
-                                             energies):
+    # the key compares energy first, so a point dearer than the best
+    # feasible one can never win
+    for i in sorted(range(len(vth_grid)), key=cheapest.__getitem__):
+        bound = math.inf if full_grid or best is None else best.energy
+        if cheapest[i] > bound:
+            break
+        columns = [j for j, energy in enumerate(energy_rows[i])
+                   if energy <= bound]
+        scores = expected_sifi_over_rates(
+            threshold_cfgs[i], [rate_grid[j] for j in columns])
+        vth = vth_grid[i]
+        for j, sifi in zip(columns, scores):
+            rate, energy = rate_grid[j], energy_rows[i][j]
             feasible = sifi >= gamma_th
             point = GridPoint(relevance_threshold=vth, rate=rate,
-                              slots=slots, sifi=sifi, energy=energy,
+                              slots=slot_grid[j], sifi=sifi, energy=energy,
                               feasible=feasible)
-            points.append(point)
+            scored[i].append(point)
             if feasible:
                 key = (energy, -sifi, rate, vth)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = point
+    points = [point for row in scored for point in row]
     if best is None:
         return OptimizationResult(feasible=False, relevance_threshold=None,
                                   rate=None, energy=None, sifi=None,

@@ -288,6 +288,8 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed={seed} must be >= 0")
     ctx = _Context(cfg)
     block = max(1, _BLOCK_ELEMENTS // (ctx.devices * ctx.images))
     sifi_sum = 0.0

@@ -380,3 +380,9 @@ def test_negative_burn_in_is_rejected():
     cfg = cfg_for(5, 6, 10)
     with pytest.raises(ValueError, match="burn_in"):
         mcmc_expected_sifi(cfg, 10, 0, burn_in=-5)
+
+
+def test_negative_seed_is_rejected():
+    cfg = cfg_for(5, 6, 10)
+    with pytest.raises(ValueError, match=r"seed=-1 must be >= 0"):
+        mcmc_expected_sifi(cfg, 10, -1)

@@ -234,6 +234,9 @@ def test_config_errors_exit_code(capsys):
      "--set", "images_per_device=6"],
     ["optimize", "--gamma-th", "2"],
     ["sweep-sifi", "--grid", "2,1", "--mode", "exact"],
+    ["compare", "--n-grid", "5.5"],
+    ["compare", "--n-grid", ","],
+    ["expected-energy", "--vth-grid", "0.5:0.4:0.1"],
 ])
 def test_bad_numeric_arguments_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -241,6 +244,16 @@ def test_bad_numeric_arguments_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--rounds", "5", "--seed", "-1"],
+    ["analyze", "--samples", "10", "--seed", "-1"],
+])
+def test_negative_seed_is_named(capsys, command):
+    rc, _, err = run_cli(capsys, *command)
+    assert rc == 2
+    assert err == "invalid argument: seed=-1 must be >= 0\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -289,12 +302,19 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
                                "49e79c628e207d0ea6109aedd429d92d"),
       "device_energy.csv": ("8f3c886e8b6f64a64245a4d88ffbde56"
                             "1e81f4c74be895e1ff89d1e65a53f880")}),
+    # every point of the default design grid, none pruned
+    (["optimize", "--gamma-th", "0.8", "--full-grid"],
+     {"optimize.csv": ("5c571397736970f4c9fcddbe55d04ac9"
+                       "d711fbfef642cdf3b710b15ee244a4e4"),
+      "optimize_grid.csv": ("e2016544ba969de742e25c8203d6d3db"
+                            "ff94f2c8e08893d782a50697c8e51c4e")}),
 ])
 def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
     # the chain digests were recorded when it read the log-gamma law of
     # scipy.stats.binom, which differs from saddle_logpmf by up to 1.9e-12;
     # the compare and energy-breakdown digests when the comparison schemes
-    # and the weight-staging term still had switches
+    # and the weight-staging term still had switches; the full-grid digests
+    # when the search still scored every point
     rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert rc == 0
     for name, digest in digests.items():

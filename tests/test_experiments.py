@@ -106,7 +106,7 @@ def test_grid_points_equal_single_point_evaluation():
     # the grid scores one threshold at a time; every value must be the
     # single-point one, bit for bit
     cfg = load_config({"images_per_device": 25})
-    result = optimize(cfg, 0.8)
+    result = optimize(cfg, 0.8, full_grid=True)
     assert len(result.grid) == len(default_vth_grid()) * len(default_rate_grid())
     for point in result.grid:
         single = replace(cfg, relevance_threshold=point.relevance_threshold,
@@ -114,6 +114,34 @@ def test_grid_points_equal_single_point_evaluation():
         assert point.sifi == expected_sifi_exact(single)
         assert point.energy == expected_total_energy(single, form="closed")
         assert point.slots == single.frame_slots()
+
+
+@pytest.mark.parametrize("spec", [
+    {},
+    {"truth_distribution": {"kind": "beta", "alpha": 2, "beta": 5}},
+    {"fixed_frames": 3},
+    {"device_count": 20},
+], ids=["uniform", "beta", "fixed_frames", "K20"])
+def test_pruned_search_matches_the_full_grid(spec):
+    # the pruned search may skip only points dearer than the optimum; with
+    # no feasible point it must score them all
+    base = load_config(spec)
+    for images in (5, 25, 50, 100):
+        cfg = replace(base, images_per_device=images)
+        for gamma_th in (0.6, 0.7, 0.8, 0.85, 0.9):
+            full = optimize(cfg, gamma_th, full_grid=True)
+            pruned = optimize(cfg, gamma_th)
+            assert replace(pruned, grid=[]) == replace(full, grid=[])
+            kept = {(p.relevance_threshold, p.rate) for p in pruned.grid}
+            assert pruned.grid == [
+                p for p in full.grid
+                if (p.relevance_threshold, p.rate) in kept]
+            missing = [p for p in full.grid
+                       if (p.relevance_threshold, p.rate) not in kept]
+            if full.feasible:
+                assert all(p.energy > full.energy for p in missing)
+            else:
+                assert missing == []
 
 
 def test_sweep_exact_rows_equal_single_point_evaluation():

@@ -228,6 +228,11 @@ def test_rounds_must_be_positive(small_cfg):
         simulate(small_cfg, 0, 1)
 
 
+def test_negative_seed_is_rejected(small_cfg):
+    with pytest.raises(ValueError, match=r"seed=-1 must be >= 0"):
+        simulate(small_cfg, 1, -1)
+
+
 BLOCK_CONFIGS = {
     "default": {},
     "large": {"device_count": 50, "images_per_device": 1000},

@@ -1,10 +1,10 @@
-"""Paired timing of the closed form for E[f] and of one design call.
+"""Paired timing of the closed form for E[f] and of the design calls.
 
 Run from the root of a source checkout, given a second checkout to compare
 against (for example the parent commit, unpacked with ``git archive``)::
 
     python3 tools/closed_form_timing.py --parent ../parent --pairs 10 \
-        --out BENCH_10.json
+        --out BENCH_13.json
 
 Each pair runs one fresh interpreter per side, alternating which side runs
 first. An interpreter imports ``ecopull`` from its side's ``src/`` and
@@ -12,9 +12,11 @@ times, each as the median of several calls after one warm-up call:
 
 - ``analytic._mean_fractions`` for one threshold of the default scenario
   at K=5, N=100 and at K=50, N=1000 (one slot count, the default rate's);
-- one ``compare --n-grid 25,100 --gamma-th 0.8`` call through
-  ``ecopull.cli.main``, with ecopull's functools caches emptied first,
-  as the benchmark's ``design`` workload makes it.
+- one ``compare --n-grid 25,100 --gamma-th 0.8`` call (the benchmark's
+  ``design`` workload) and one ``compare --n-grid 5:100:5 --gamma-th 0.8``
+  call (the default library-size grid) through ``ecopull.cli.main``, each
+  with ecopull's functools caches emptied first, as a fresh invocation
+  starts.
 
 The output holds, per metric and side, every run's value, the median and
 the quartiles, and how many pairs the change won.
@@ -42,7 +44,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = ((5, 100, 50), (50, 1000, 10))  # (K, N, timed calls)
 COMPARE_CALLS = 5
-COMPARE_ARGV = ["compare", "--n-grid", "25,100", "--gamma-th", "0.8"]
+COMPARE_ARGVS = {
+    "compare_ms": ["compare", "--n-grid", "25,100", "--gamma-th", "0.8"],
+    "compare_default_grid_ms": ["compare", "--n-grid", "5:100:5",
+                                "--gamma-th", "0.8"],
+}
 
 
 def _median_ms(call, repeats: int) -> float:
@@ -80,18 +86,20 @@ def measure() -> dict:
         result[f"mean_fractions_K{devices}_N{images}_ms"] = _median_ms(
             lambda: analytic._mean_fractions(*args), repeats)
 
-    with tempfile.TemporaryDirectory() as out:
-        argv = COMPARE_ARGV + ["--out", out]
+    for name, argv in COMPARE_ARGVS.items():
+        with tempfile.TemporaryDirectory() as out:
+            argv = argv + ["--out", out]
 
-        def design_call():
-            _empty_caches()
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
-                if cli.main(argv) != 0:
-                    raise RuntimeError(f"compare failed: {sink.getvalue()}")
+            def design_call():
+                _empty_caches()
+                sink = io.StringIO()
+                with contextlib.redirect_stdout(sink), \
+                        contextlib.redirect_stderr(sink):
+                    if cli.main(argv) != 0:
+                        raise RuntimeError(
+                            f"compare failed: {sink.getvalue()}")
 
-        result["compare_ms"] = _median_ms(design_call, COMPARE_CALLS)
+            result[name] = _median_ms(design_call, COMPARE_CALLS)
     return result
 
 
@@ -113,15 +121,16 @@ def main() -> int:
     parser.add_argument("--parent", type=Path,
                         help="source checkout to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_10.json")
+    parser.add_argument("--out", type=Path,
+                        help="JSON report to write")
     parser.add_argument("--worker", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.worker:
         print(json.dumps(measure()))
         return 0
-    if args.parent is None:
-        parser.error("--parent is required")
+    if args.parent is None or args.out is None:
+        parser.error("--parent and --out are required")
 
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     runs: dict = {"parent": [], "change": []}
@@ -130,8 +139,9 @@ def main() -> int:
         for side in order:
             runs[side].append(_run_side(sides[side]))
         print(f"pair {pair + 1}/{args.pairs}: "
-              + ", ".join(f"{side} {runs[side][-1]['compare_ms']:.1f} ms"
-                          for side in ("parent", "change")),
+              + "; ".join(f"{side} " + ", ".join(
+                  f"{runs[side][-1][name]:.1f}" for name in COMPARE_ARGVS)
+                  + " ms" for side in ("parent", "change")),
               file=sys.stderr)
 
     metrics = {}
