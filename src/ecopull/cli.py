@@ -9,10 +9,11 @@ a fixed seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .analytic import expected_sifi_exact, mcmc_expected_sifi
 from .config import (ConfigError, ScenarioConfig, _parse_json,
@@ -46,25 +47,13 @@ _UNUSED_SAMPLES = ("accepted for compatibility; has no effect, because the "
                    "grid is scored in closed form")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ecopull",
-        description="Energy and retrieval-quality toolkit for TinyML-filtered "
-                    "IoT image collection over slotted ALOHA")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    cmd = sub.add_parser("print-config",
-                         help="dump the fully resolved configuration")
-    _add_common(cmd)
-
-    cmd = sub.add_parser("simulate", help="Monte Carlo protocol simulation")
-    _add_common(cmd)
+def _add_simulate(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--rounds", type=int, default=10_000)
     cmd.add_argument("--per-round", action="store_true",
                      help="emit one CSV row per round before the aggregate")
 
-    cmd = sub.add_parser("analyze", help="expected score, exact or sampled")
-    _add_common(cmd)
+
+def _add_analyze(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--mode", choices=("exact", "mcmc"), default="mcmc")
     cmd.add_argument("--samples", type=int, default=10_000,
                      help="chain length for mcmc mode")
@@ -77,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--trace", action="store_true",
                      help="emit the per-step chain trace as CSV")
 
-    cmd = sub.add_parser("sweep-sifi", help="score versus compression rate")
-    _add_common(cmd)
+
+def _add_sweep(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--grid", default="1.0:4.8:0.1",
                      help="rate grid start:stop:step, or comma-separated values")
     cmd.add_argument("--mode", choices=("mcmc", "simulate", "exact", "both"),
@@ -86,9 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--rounds", type=int, default=10_000)
     cmd.add_argument("--samples", type=int, default=10_000)
 
-    cmd = sub.add_parser("optimize",
-                         help="minimum-energy parameters under a score floor")
-    _add_common(cmd)
+
+def _add_optimize(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--gamma-th", type=float, default=0.8)
     cmd.add_argument("--images", type=int, default=None,
                      help="override images per device for the search")
@@ -97,26 +85,22 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--full-grid", action="store_true",
                      help="emit every grid point, not just the optimum")
 
-    cmd = sub.add_parser("compare",
-                         help="energy-saving ratios versus the baseline")
-    _add_common(cmd)
+
+def _add_compare(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--gamma-th", type=float, default=0.8)
     cmd.add_argument("--n-grid", default="5:100:5",
                      help="library-size grid start:stop:step or comma list")
     cmd.add_argument("--samples", type=int, default=10_000,
                      help=_UNUSED_SAMPLES)
 
-    cmd = sub.add_parser("energy-breakdown",
-                         help="per-term inference and device energy as CSV")
-    _add_common(cmd)
 
-    cmd = sub.add_parser("expected-energy",
-                         help="expected device energy over a parameter grid")
-    _add_common(cmd)
+def _add_expected_energy(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--vth-grid", default="0.5:0.8:0.05")
     cmd.add_argument("--r-grid", default="1.0:2.0:0.25")
 
-    return parser
+
+def _add_nothing(cmd: argparse.ArgumentParser) -> None:
+    pass
 
 
 def _load(args) -> ScenarioConfig:
@@ -137,6 +121,9 @@ def _parse_grid(text: str, integer: bool = False) -> list:
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"grid {text!r} must have finite "
+                              "start, stop and step")
         if step <= 0:
             raise ConfigError(f"grid step must be positive in {text!r}")
         values = []
@@ -355,23 +342,64 @@ def _cmd_expected_energy(args) -> int:
     return 0
 
 
+class _Command(NamedTuple):
+    help: str
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    run: Callable[[argparse.Namespace], int]
+
+
+# every subcommand, in the order of the help text
 _COMMANDS = {
-    "print-config": _cmd_print_config,
-    "simulate": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "sweep-sifi": _cmd_sweep,
-    "optimize": _cmd_optimize,
-    "compare": _cmd_compare,
-    "energy-breakdown": _cmd_energy_breakdown,
-    "expected-energy": _cmd_expected_energy,
+    "print-config": _Command("dump the fully resolved configuration",
+                             _add_nothing, _cmd_print_config),
+    "simulate": _Command("Monte Carlo protocol simulation", _add_simulate,
+                         _cmd_simulate),
+    "analyze": _Command("expected score, exact or sampled", _add_analyze,
+                        _cmd_analyze),
+    "sweep-sifi": _Command("score versus compression rate", _add_sweep,
+                           _cmd_sweep),
+    "optimize": _Command("minimum-energy parameters under a score floor",
+                         _add_optimize, _cmd_optimize),
+    "compare": _Command("energy-saving ratios versus the baseline",
+                        _add_compare, _cmd_compare),
+    "energy-breakdown": _Command("per-term inference and device energy as CSV",
+                                 _add_nothing, _cmd_energy_breakdown),
+    "expected-energy": _Command("expected device energy over a parameter "
+                                "grid", _add_expected_energy,
+                                _cmd_expected_energy),
 }
 
 
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``ecopull`` parser: every subcommand, or only ``command``.
+
+    A parser holding one subcommand parses that subcommand's command lines
+    as the full parser does, and its usage and help texts are the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ecopull",
+        description="Energy and retrieval-quality toolkit for TinyML-filtered "
+                    "IoT image collection over slotted ALOHA")
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # one command's parser still lists every command in its usage line;
+    # the full parser keeps the default metavar, that same list, since an
+    # explicit one would rename the action in its error messages
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None)
+    for name in names:
+        cmd = sub.add_parser(name, help=_COMMANDS[name].help)
+        _add_common(cmd)
+        _COMMANDS[name].add_arguments(cmd)
+    return parser
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that names its command needs only that one's parser
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command].run(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,20 @@ the same probability model as the Q-function analysis.
 Rounds are simulated in blocks. Each round still draws from its own
 generator, in the order of a one-round call; everything after the draws
 runs once per block, so a block's rounds equal one-round calls bit for bit.
+
+Round ``i`` of ``simulate`` draws exactly what ``default_rng((seed, i))``
+would. ``default_rng`` hashes the pair with ``SeedSequence`` and seeds
+PCG64 from four 64-bit words. For a block of at least
+``_MIN_HASHED_BLOCK`` rounds, ``simulate`` computes that hash in uint32
+numpy for the whole block, finishes PCG64's seeding in Python ints and
+sets the state of one reused generator per round. After its other draws
+a round takes raw 64-bit draws enough for its longest possible horizon;
+its slots are Lemire's multiply-shift (D. Lemire, "Fast Random Integer
+Generation in an Interval", ACM TOMACS 2019) on their 32-bit halves, low
+half first, as ``Generator.integers`` maps them. A round with a used
+draw that numpy might reject runs again on ``default_rng``; so do whole
+blocks when the seed is not one 32-bit word or ``L >= 2**32``, smaller
+blocks, and ``run_round``.
 """
 
 from __future__ import annotations
@@ -45,6 +59,11 @@ SeedLike = Union[int, Sequence[int]]
 # fall out of cache.
 _BLOCK_ELEMENTS = 2 ** 14
 
+# Blocks of at least this many rounds seed them without SeedSequence.
+# Hashing a block's seeds costs a fixed ~50 numpy calls, more than one
+# SeedSequence, and mapping slots in numpy loses to integers() at large
+# K * horizon, so smaller blocks (and run_round) use default_rng.
+_MIN_HASHED_BLOCK = 16
 
 @dataclass(frozen=True, eq=False)
 class RoundOutcome:
@@ -195,26 +214,149 @@ class _Rounds:
     actual_counts: np.ndarray        # (B,)
 
 
-def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike]) -> _Rounds:
-    """Simulate one round per seed, round ``b`` on ``default_rng(seeds[b])``.
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_SHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's (xor, multiplier) for its ``count`` successive hash
+    calls from ``init``, shaped (2, count, 1)."""
+    pairs = []
+    for _ in range(count):
+        pairs.append((init, init * mult & _MASK32))
+        init = pairs[-1][1]
+    return np.array(pairs, dtype=np.uint32).T[..., None]
+
+
+def _by_source(constants: np.ndarray) -> np.ndarray:
+    """Hash calls 4-15, which mix each pool word into the three others in
+    turn, laid out ``[source, destination]``, with zeros where they meet."""
+    out = np.zeros((4, 4, 1), dtype=np.uint32)
+    out[~np.eye(4, dtype=bool)] = constants[4:]
+    return out
+
+
+# Calls 0-3 hash the pool's four words; generate_state's own 8 calls
+# hash the output words.
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_MIX_XOR, _MIX_MUL = _by_source(_POOL_XOR), _by_source(_POOL_MUL)
+_POOL_XOR, _POOL_MUL = _POOL_XOR[:4], _POOL_MUL[:4]
+_MIX_LEFT, _MIX_RIGHT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_words(seed: int, indices: range) -> np.ndarray:
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for every
+    ``i`` in ``indices``, as a (4, rounds) uint64 array: the words
+    ``default_rng((seed, i))`` seeds PCG64 from.
+
+    ``seed`` and the indices must be below 2**32, so that the entropy is
+    the two words ``[seed, i]``.
+    """
+    pool = np.zeros((4, len(indices)), dtype=np.uint32)
+    pool[0] = seed
+    pool[1] = np.arange(indices.start, indices.stop, dtype=np.uint32)
+    pool ^= _POOL_XOR
+    pool *= _POOL_MUL
+    pool ^= pool >> _SHIFT
+    for source in range(4):
+        mixed = pool[source] ^ _MIX_XOR[source]
+        mixed *= _MIX_MUL[source]
+        mixed ^= mixed >> _SHIFT
+        kept = pool[source].copy()
+        pool *= _MIX_LEFT
+        mixed *= _MIX_RIGHT
+        pool -= mixed
+        pool ^= pool >> _SHIFT
+        pool[source] = kept
+    out = np.tile(pool, (2, 1))
+    out ^= _OUT_XOR
+    out *= _OUT_MUL
+    out ^= out >> _SHIFT
+    out = out.astype(np.uint64)
+    return out[0::2] | out[1::2] << np.uint64(32)
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int,
+                 seq_lo: int) -> dict:
+    """The ``PCG64.state`` its ``srandom`` makes from four seed words."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _draw(ctx: _Context, rng: np.random.Generator, beta: np.ndarray,
+          observed: np.ndarray, keys: np.ndarray) -> None:
+    """A round's draws before its slots, in order: the true similarities,
+    the score noise (``observed`` gets their sum) and the queue-order keys."""
+    beta[...] = ctx.truth.sample(rng, beta.shape)
+    np.add(rng.normal(0.0, ctx.sigma, beta.shape), beta, out=observed)
+    rng.random(out=keys)
+
+
+def _lemire_slots(raw: np.ndarray, horizons: np.ndarray, devices: int,
+                  head: int, slot_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's ``integers(0, L, (K, horizon))`` from its raw draws.
+
+    ``raw[b]`` holds round ``b``'s raw 64-bit draws, whose 32-bit halves
+    number at least ``K * horizon``. Draw ``j`` of a round is the low 32-bit half of raw word
+    ``j // 2`` when ``j`` is even and the high half otherwise, mapped to
+    ``(u32 * L) >> 32``. The slots come back as (rounds, K, head), with
+    each round's frames past its horizon left arbitrary, and with a flag
+    per round that a used draw had ``(u32 * L) mod 2**32 < L``, where
+    numpy may reject it and draw again.
+    """
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    frame = np.arange(head)
+    used = frame < horizons[:, None, None]
+    index = np.where(used, np.arange(devices)[:, None]
+                     * horizons[:, None, None] + frame, 0)
+    product = np.take_along_axis(halves, index.reshape(len(raw), -1), axis=1)
+    product = product.reshape(index.shape).astype(np.uint64) * np.uint64(
+        slot_count)
+    rejected = np.any(used & ((product & _MASK32) < slot_count), axis=(1, 2))
+    return (product >> 32).astype(np.int64), rejected
+
+
+def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
+                words: Optional[np.ndarray] = None) -> _Rounds:
+    """Simulate one round per seed, round ``b`` as on ``default_rng(seeds[b])``.
 
     Each round draws, in order, the true similarities, the score noise, the
-    queue-order keys and then, once its horizon is known, one slot per
-    device and frame. Everything after the draws runs once for the block.
+    queue-order keys and then one slot per device and frame of its
+    horizon. Everything after the draws runs once for the block.
+    With ``words``, ``_seed_words`` of the seeds, the rounds run on one
+    reused generator and take their slots from raw draws; a round whose
+    draws numpy might reject runs again on ``default_rng``.
     """
     rounds = len(seeds)
     shape = (ctx.devices, ctx.images)
     beta = np.empty((rounds, *shape))
     observed = np.empty((rounds, *shape))
     keys = np.empty((rounds, *shape))
-    generators = []
-    for b, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        beta[b] = ctx.truth.sample(rng, shape)
-        observed[b] = rng.normal(0.0, ctx.sigma, shape)
-        rng.random(out=keys[b])
-        generators.append(rng)
-    observed += beta
+    pending = []    # (round, generator) pairs whose slots integers() draws
+    if words is None:
+        for b, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            _draw(ctx, rng, beta[b], observed[b], keys[b])
+            pending.append((b, rng))
+    else:
+        # enough raw draws for the longest horizon a round can have; a
+        # round's generator is discarded after its slots, so the surplus
+        # changes nothing
+        frames = ctx.images if ctx.fixed_frames is None else min(
+            ctx.images, ctx.fixed_frames)
+        raw = np.empty((rounds, (ctx.devices * frames + 1) // 2),
+                       dtype=np.uint64)
+        rng = np.random.Generator(np.random.PCG64(0))
+        bit_generator = rng.bit_generator
+        for b, seed_words in enumerate(zip(*words.tolist())):
+            bit_generator.state = _pcg64_state(*seed_words)
+            _draw(ctx, rng, beta[b], observed[b], keys[b])
+            raw[b] = bit_generator.random_raw(raw.shape[1])
     relevant = observed >= ctx.vth
     rel_counts = np.count_nonzero(relevant, axis=2)
 
@@ -226,9 +368,17 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike]) -> _Rounds:
 
     delivered = np.zeros_like(relevant)
     if head > 0:
-        slots = np.zeros((rounds, ctx.devices, head), dtype=np.int64)
-        for b, (rng, horizon) in enumerate(zip(generators,
-                                               horizons.tolist())):
+        if words is None:
+            slots = np.zeros((rounds, ctx.devices, head), dtype=np.int64)
+        else:
+            slots, rejected = _lemire_slots(raw, horizons, ctx.devices,
+                                            head, ctx.slots)
+            for b in np.flatnonzero(rejected).tolist():
+                rng = np.random.default_rng(seeds[b])
+                _draw(ctx, rng, beta[b], observed[b], keys[b])
+                pending.append((b, rng))
+        for b, rng in pending:
+            horizon = int(horizons[b])
             if horizon > 0:
                 slots[b, :, :horizon] = rng.integers(
                     0, ctx.slots, size=(ctx.devices, horizon))
@@ -284,7 +434,9 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     generator seeded by ``(seed, i)``, so ``rounds=1`` reproduces
     ``run_round(cfg, (seed, 0))`` exactly. Rounds are simulated in blocks
     of at most ``_BLOCK_ELEMENTS`` images, and accumulated in round order,
-    keeping aggregates bitwise stable.
+    keeping aggregates bitwise stable. Blocks of at least
+    ``_MIN_HASHED_BLOCK`` rounds seed their generators without
+    ``SeedSequence``, to the same bits (see the module docstring).
     """
     if rounds < 1:
         raise ValueError(f"rounds={rounds} must be >= 1")
@@ -292,6 +444,8 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
         raise ValueError(f"seed={seed} must be >= 0")
     ctx = _Context(cfg)
     block = max(1, _BLOCK_ELEMENTS // (ctx.devices * ctx.images))
+    hashed = (block >= _MIN_HASHED_BLOCK and seed <= _MASK32
+              and rounds <= _MASK32 + 1 and ctx.slots <= _MASK32)
     sifi_sum = 0.0
     sifi_sq = 0.0
     energy_sum = 0.0
@@ -302,7 +456,8 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     detail: Optional[list[RoundStats]] = [] if keep_rounds else None
     for start in range(0, rounds, block):
         indices = range(start, min(start + block, rounds))
-        out = _run_rounds(ctx, [(seed, index) for index in indices])
+        out = _run_rounds(ctx, [(seed, index) for index in indices],
+                          _seed_words(seed, indices) if hashed else None)
         sifis = out.sifi.tolist()
         energies = out.mean_energy.tolist()
         for sifi, energy in zip(sifis, energies):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ecopull import BetaTruth, UniformTruth, load_config
+from ecopull import BetaTruth, UniformTruth, cli, load_config
 from ecopull.cli import main
 
 
@@ -237,6 +237,9 @@ def test_config_errors_exit_code(capsys):
     ["compare", "--n-grid", "5.5"],
     ["compare", "--n-grid", ","],
     ["expected-energy", "--vth-grid", "0.5:0.4:0.1"],
+    ["expected-energy", "--vth-grid", "0.5:0.8:nan"],
+    ["expected-energy", "--vth-grid", "0.5:inf:0.1"],
+    ["compare", "--n-grid", "5:inf:5"],
 ])
 def test_bad_numeric_arguments_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -244,6 +247,31 @@ def test_bad_numeric_arguments_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exited.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["--seed", "3", "simulate"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    *([command, "--bogus"] for command in cli._COMMANDS),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_command_parser_matches_the_full_parser(capsys, argv):
+    full = parse_outcome(capsys, cli.build_parser().parse_args, argv)
+    assert parse_outcome(capsys, main, argv) == full
+
+
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_one_command_parser_parses_like_the_full_parser(command):
+    argv = [command, "--seed", "4", "--set", "device_count=3"]
+    assert (cli.build_parser(command).parse_args(argv)
+            == cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("command", [
@@ -308,6 +336,15 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
                        "d711fbfef642cdf3b710b15ee244a4e4"),
       "optimize_grid.csv": ("e2016544ba969de742e25c8203d6d3db"
                             "ff94f2c8e08893d782a50697c8e51c4e")}),
+    # a seed wider than 32 bits, whose rounds draw from default_rng
+    (["simulate", "--rounds", "20", "--seed", "99999999999999999999"],
+     {"simulate.csv": ("bdabfb0c385bbb6ff9448ee255c4e196"
+                       "68320a243e4183d3d3ce6993499790a8")}),
+    # criterion 2's sizes, where blocks of 546 rounds hash their seeds
+    (["simulate", "--rounds", "3000", "--seed", "1", "--per-round",
+      "--set", "device_count=5", "--set", "images_per_device=6"],
+     {"simulate.csv": ("be0c894060c347a6110ce5d03605de85"
+                       "b32a27cb8d7832d3fad35f5f245f39ad")}),
 ])
 def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
     # the chain digests were recorded when it read the log-gamma law of

@@ -249,13 +249,12 @@ BLOCK_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("spec", BLOCK_CONFIGS.values(), ids=BLOCK_CONFIGS)
-def test_blocks_equal_round_order_accumulation_of_run_round(spec):
-    cfg = load_config(spec)
+def assert_simulate_replays_run_round(cfg, seed):
+    """``simulate`` over one full block and a partial one equals ``run_round``
+    on ``(seed, i)``, round by round and in its aggregates."""
     block = max(1, sim._BLOCK_ELEMENTS
                 // (cfg.device_count * cfg.images_per_device))
-    rounds = block + 2          # one full block and a partial one
-    seed = 6
+    rounds = block + 2
     agg = simulate(cfg, rounds, seed, keep_rounds=True)
     detail = []
     sifi_sum = energy_sum = 0.0
@@ -271,6 +270,11 @@ def test_blocks_equal_round_order_accumulation_of_run_round(spec):
     assert agg.mean_total_energy == energy_sum / rounds
     assert agg.mean_delivered == sum(r.delivered for r in detail) / rounds
     assert agg.mean_frames == sum(r.frames for r in detail) / rounds
+
+
+@pytest.mark.parametrize("spec", BLOCK_CONFIGS.values(), ids=BLOCK_CONFIGS)
+def test_blocks_equal_round_order_accumulation_of_run_round(spec):
+    assert_simulate_replays_run_round(load_config(spec), 6)
 
 
 def test_empty_queues_send_nothing():
@@ -302,3 +306,102 @@ def test_per_round_csv_bytes_are_fixed(tmp_path):
     digest = hashlib.sha256((tmp_path / "simulate.csv").read_bytes())
     assert digest.hexdigest() == ("272dc2a99a59b4d57b3f6a54660fd45d"
                                   "85af2528f77881b441bca8cf94b149d0")
+
+
+# Rounds seeded without SeedSequence: every path must draw what
+# default_rng((seed, i)) draws.
+
+SEED_WORDS = (0, 1, 12345, 2 ** 31, 2 ** 32 - 1)
+
+
+@pytest.mark.parametrize("seed", SEED_WORDS)
+def test_seed_words_give_default_rng_states(seed):
+    for indices in (range(0, 150), range(2 ** 32 - 50, 2 ** 32)):
+        words = sim._seed_words(seed, indices)
+        for index, seed_words in zip(indices, zip(*words.tolist())):
+            expected = np.random.default_rng((seed, index)).bit_generator.state
+            assert sim._pcg64_state(*seed_words) == expected
+
+
+@pytest.mark.parametrize("slot_count", [1, 15, 2 ** 31 + 7])
+def test_lemire_slots_equal_integers(slot_count):
+    devices, rounds = 3, 400
+    horizons = np.arange(rounds) % 6
+    seeds = [(9, index) for index in range(rounds)]
+    raw = np.empty((rounds, (devices * 5 + 1) // 2), dtype=np.uint64)
+    for b, seed in enumerate(seeds):
+        raw[b] = np.random.default_rng(seed).bit_generator.random_raw(
+            raw.shape[1])
+    slots, rejected = sim._lemire_slots(raw, horizons, devices, 5, slot_count)
+    for b, (seed, horizon) in enumerate(zip(seeds, horizons.tolist())):
+        if not rejected[b]:
+            expected = np.random.default_rng(seed).integers(
+                0, slot_count, size=(devices, horizon))
+            np.testing.assert_array_equal(slots[b, :, :horizon], expected)
+    # about half the draws at 2**31 + 7 fall where numpy may reject them
+    assert rejected.any() == (slot_count == 2 ** 31 + 7)
+
+
+def test_lemire_slots_flag_draws_numpy_may_reject():
+    # one round of 2 devices x 2 frames: draw j is the low half of raw word
+    # j // 2 when j is even and the high half otherwise
+    slot_count = 15
+    edge = -(-2 ** 32 // slot_count)      # (edge * 15) mod 2**32 == 14
+    draws = [0x1234_5678, 0xFFFF_FFFF, edge, 0x8000_0000]
+    raw = np.array([[draws[0] | draws[1] << 32, draws[2] | draws[3] << 32]],
+                   dtype=np.uint64)
+    slots, rejected = sim._lemire_slots(raw, np.array([2]), 2, 2, slot_count)
+    assert slots[0].ravel().tolist() == [u * slot_count >> 32 for u in draws]
+    assert rejected.tolist() == [True]
+    # at a horizon of 1 the round uses draws 0 and 1 alone
+    slots, rejected = sim._lemire_slots(raw, np.array([1]), 2, 2, slot_count)
+    assert slots[0, :, 0].tolist() == [u * slot_count >> 32 for u in draws[:2]]
+    assert rejected.tolist() == [False]
+
+
+SEEDING_CASES = {
+    "seed-at-2**32": ({}, 2 ** 32),
+    "largest-hashed-seed": ({}, 2 ** 32 - 1),
+    "slots-at-2**32": ({"device_count": 3, "images_per_device": 4,
+                        "slots_per_frame": 2 ** 32, "slot_coefficient": None},
+                       6),
+    "rejected-draws": ({"device_count": 4, "images_per_device": 3,
+                        "relevance_threshold": 0.0,
+                        "slots_per_frame": 2 ** 31 + 7,
+                        "slot_coefficient": None}, 6),
+    "one-slot": ({"slots_per_frame": 1, "slot_coefficient": None}, 6),
+    "two-by-two": ({"device_count": 2, "images_per_device": 2}, 6),
+}
+
+
+@pytest.mark.parametrize("spec, seed", SEEDING_CASES.values(),
+                         ids=SEEDING_CASES)
+def test_every_seeding_path_replays_run_round(spec, seed):
+    assert_simulate_replays_run_round(load_config(spec), seed)
+
+
+def test_rejected_draws_rerun_on_default_rng(monkeypatch):
+    flagged = []
+    lemire = sim._lemire_slots
+
+    def counting(*args):
+        slots, rejected = lemire(*args)
+        flagged.append(int(rejected.sum()))
+        return slots, rejected
+
+    monkeypatch.setattr(sim, "_lemire_slots", counting)
+    spec, seed = SEEDING_CASES["rejected-draws"]
+    assert_simulate_replays_run_round(load_config(spec), seed)
+    assert sum(flagged) > 0
+
+
+@pytest.mark.parametrize("seed", [7, (6, 0, 1), [6, 0], 2 ** 40])
+def test_run_round_draws_from_default_rng(seed):
+    cfg = load_config({"device_count": 2, "images_per_device": 3})
+    out = run_round(cfg, seed)
+    rng = np.random.default_rng(seed)
+    beta = rng.random((2, 3))
+    np.testing.assert_array_equal(out.true_similarity, beta)
+    np.testing.assert_array_equal(out.observed_similarity,
+                                  rng.normal(0.0, cfg.model_noise, (2, 3))
+                                  + beta)
