@@ -8,21 +8,19 @@ device energy budget, and reproduces the parameter sweeps and baseline
 comparisons.
 """
 
-from .analytic import (ChainResult, McmcResult, compositions,
-                       expected_sifi_exact, mcmc_expected_sifi,
-                       omega_nonempty_probability, p_delta, realization_pmf,
-                       run_chain, sifi_affine)
+from .analytic import (ChainResult, expected_sifi_exact, mcmc_expected_sifi,
+                       omega_nonempty_probability, p_delta, run_chain,
+                       sifi_affine)
 from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
                      ModelCost, PNG_BPP, RadioProfile, ScenarioConfig,
                      TruthDistribution, UniformTruth, apply_overrides,
                      dump_config, load_config, packet_bits, save_config,
                      slots_for_rate)
-from .energy import (EnergyBreakdown, QuadratureError, communication_energy,
-                     computation_energy, device_energy, expected_total_energy,
+from .energy import (QuadratureError, communication_energy,
+                     computation_energy, expected_total_energy,
                      fixed_overhead_energy, gaussian_tail, model_load_total,
-                     p_th, per_relevant_image_energy, quad_interval,
-                     rel_count_pmf)
+                     p_th, per_relevant_image_energy, quad_interval)
 from .experiments import (CompareResult, CompareRow, GridPoint,
                           OptimizationResult, SweepRow, SweepSpec,
                           compare_schemes, default_rate_grid,

@@ -61,7 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -71,8 +71,6 @@ from .energy import _filtered_mass, p_th
 from .sifi import fidelity_distance
 
 __all__ = [
-    "compositions",
-    "realization_pmf",
     "p_delta",
     "omega_nonempty_probability",
     "sifi_affine",
@@ -80,46 +78,9 @@ __all__ = [
     "expected_sifi_exact",
     "expected_sifi_over_rates",
     "mcmc_expected_sifi",
-    "McmcResult",
     "ChainResult",
     "run_chain",
 ]
-
-
-def compositions(total: int, bins: int) -> Iterator[tuple[int, ...]]:
-    """All orderings of ``total`` identical devices into ``bins`` bins."""
-    if bins < 1:
-        raise ValueError(f"bins={bins} must be >= 1")
-    if bins == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, bins - 1):
-            yield (head,) + rest
-
-
-def realization_pmf(psi: Sequence[int], images_per_device: int,
-                    device_count: int, pass_probability: float) -> float:
-    """Multinomial probability of one composition; 0 if the bins miss K.
-
-    Evaluated in log space so large factorials and tiny bin probabilities
-    never overflow.
-    """
-    if len(psi) != images_per_device + 1:
-        raise ValueError(
-            f"realization has {len(psi)} bins, expected "
-            f"{images_per_device + 1}")
-    if sum(psi) != device_count:
-        return 0.0
-    log_rel = saddle_logpmf(images_per_device, pass_probability)
-    total = math.lgamma(device_count + 1)
-    for nu, q in enumerate(psi):
-        if q == 0:
-            continue
-        if log_rel[nu] == -math.inf:
-            return 0.0
-        total += q * log_rel[nu] - math.lgamma(q + 1)
-    return math.exp(total)
 
 
 def p_delta(truth_threshold: float, truth) -> float:
@@ -136,6 +97,24 @@ def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
     return 1.0 - (1.0 - pdelta) ** images
 
 
+def _relevance(cfg: ScenarioConfig) -> Optional[tuple[float, ...]]:
+    """``(p_delta, P(Omega > 0), detect, offset)`` of ``cfg``, or None when
+    no image can be actually relevant.
+
+    ``detect`` is the joint probability that an image is actually relevant
+    and passes the filter; ``offset`` the score of a round that delivers
+    nothing.
+    """
+    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
+    if pdelta <= 0.0:
+        return None
+    p_omega = omega_nonempty_probability(cfg)
+    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
+                            cfg.truth_distribution, cfg.truth_threshold)
+    offset = p_omega * (1.0 - cfg.penalty) + (1.0 - p_omega)
+    return pdelta, p_omega, detect, offset
+
+
 def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     """Coefficients (offset, slope) of the collision-free expected score.
 
@@ -145,16 +124,12 @@ def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     constant 1. The expected score itself is built from
     :func:`score_terms`, which shares ``offset``.
     """
-    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
-    if pdelta <= 0.0:
+    relevance = _relevance(cfg)
+    if relevance is None:
         return 1.0, 0.0
-    p_omega = omega_nonempty_probability(cfg)
-    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
-                            cfg.truth_distribution, cfg.truth_threshold)
+    pdelta, p_omega, detect, offset = relevance
     kd = fidelity_distance(cfg.compression_rate)
-    gamma = cfg.penalty
-    offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
-    slope = p_omega * (gamma - kd) * detect / pdelta
+    slope = p_omega * (cfg.penalty - kd) * detect / pdelta
     return offset, slope
 
 
@@ -168,15 +143,11 @@ def score_terms(cfg: ScenarioConfig,
     ``pass_probability`` (``p_th``) they fix the per-composition delivered
     fraction ``f``. A zero actually-relevant tail gives ``(1, 0, 0, 0)``.
     """
-    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
-    if pdelta <= 0.0:
+    relevance = _relevance(cfg)
+    if relevance is None:
         return 1.0, 0.0, 0.0, 0.0
-    p_omega = omega_nonempty_probability(cfg)
-    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
-                            cfg.truth_distribution, cfg.truth_threshold)
-    gamma = cfg.penalty
-    offset = p_omega * (1.0 - gamma) + (1.0 - p_omega)
-    gain = gamma - fidelity_distance(cfg.compression_rate)
+    pdelta, _, detect, offset = relevance
+    gain = cfg.penalty - fidelity_distance(cfg.compression_rate)
     alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
     alpha_n = ((pdelta - detect) / (1.0 - pass_probability)
                if pass_probability < 1.0 else 0.0)
@@ -380,12 +351,14 @@ def expected_sifi_exact(cfg: ScenarioConfig) -> float:
 
 @dataclass(frozen=True)
 class ChainResult:
-    """Raw chain outputs, independent of the score mapping.
+    """A chain's estimate of the expected score, with its diagnostics.
 
     ``mean_success`` and ``success_trace`` hold the delivered fraction
-    ``f`` of the visited states.
+    ``f`` of the visited states; ``estimate`` is ``offset + gain *
+    mean_success``.
     """
 
+    estimate: float
     samples: int
     mean_success: float
     acceptance_rate: float
@@ -393,13 +366,6 @@ class ChainResult:
     checked_states: int
     state_counts: Optional[dict]
     success_trace: Optional[np.ndarray]
-
-
-@dataclass(frozen=True)
-class McmcResult(ChainResult):
-    """A chain's outputs plus its estimate of the expected score."""
-
-    estimate: float
 
 
 def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
@@ -418,15 +384,17 @@ def _initial_state(device_count: int, log_rel: Sequence[float]) -> list[int]:
 
 
 def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
-              samples: int, seed: int, *, relevance: tuple[float, float],
+              samples: int, seed: int, *,
+              terms: tuple[float, float, float, float],
               burn_in: int = 0, hastings: bool = True, state_stride: int = 0,
               keep_trace: bool = False, check_every: int = 1000,
               frames: Optional[int] = None) -> ChainResult:
     """Run the one-device-move Metropolis chain over compositions.
 
-    ``log_rel`` holds the log bin probabilities (length N+1) and
-    ``relevance`` the pair ``(alpha_r, alpha_n)`` of the delivered
-    fraction, which the chain averages over its visited states. Each step
+    ``log_rel`` holds the log bin probabilities (length N+1) and ``terms``
+    the four values ``(offset, gain, alpha_r, alpha_n)`` of
+    :func:`score_terms`: the chain averages the delivered fraction over its
+    visited states and maps the mean to the score. Each step
     decrements a uniformly chosen occupied bin, increments a uniformly
     chosen other bin, and accepts when a fresh uniform draw does not exceed
     the probability ratio (with the proposal correction when ``hastings``).
@@ -446,7 +414,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
         raise ValueError(f"seed={seed} must be >= 0")
     n_bins = len(log_rel)
     log_rel = [float(v) for v in log_rel]
-    alpha_r, alpha_n = relevance
+    offset, gain, alpha_r, alpha_n = terms
     table = _FractionTable(device_count, n_bins - 1, slots, alpha_r, alpha_n)
     horizon = n_bins - 1 if frames is None else frames
     weight = table.weight
@@ -538,9 +506,11 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
             key = tuple(counts)
             state_counts[key] = state_counts.get(key, 0) + 1
 
+    mean_success = fraction_sum / samples
     return ChainResult(
+        estimate=offset + gain * mean_success,
         samples=samples,
-        mean_success=fraction_sum / samples,
+        mean_success=mean_success,
         acceptance_rate=accepted / total_steps,
         invalid_states=invalid,
         checked_states=checked,
@@ -552,17 +522,14 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
 def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed: int,
                        burn_in: int = 0, hastings: bool = True,
                        state_stride: int = 0, keep_trace: bool = False,
-                       check_every: int = 1000) -> McmcResult:
+                       check_every: int = 1000) -> ChainResult:
     """Metropolis estimate of the expected score, with diagnostics."""
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
-    log_rel = saddle_logpmf(cfg.images_per_device, pth)
-    offset, gain, alpha_r, alpha_n = score_terms(cfg, pth)
-    chain = run_chain(log_rel, cfg.device_count, cfg.frame_slots(),
-                      samples, seed, relevance=(alpha_r, alpha_n),
-                      burn_in=burn_in, hastings=hastings,
-                      state_stride=state_stride, keep_trace=keep_trace,
-                      check_every=check_every, frames=cfg.fixed_frames)
-    return McmcResult(**vars(chain),
-                      estimate=offset + gain * chain.mean_success)
+    return run_chain(saddle_logpmf(cfg.images_per_device, pth),
+                     cfg.device_count, cfg.frame_slots(), samples, seed,
+                     terms=score_terms(cfg, pth), burn_in=burn_in,
+                     hastings=hastings, state_stride=state_stride,
+                     keep_trace=keep_trace, check_every=check_every,
+                     frames=cfg.fixed_frames)
 

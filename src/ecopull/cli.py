@@ -2,8 +2,9 @@
 
 Common flags: ``--config`` (JSON document), repeated ``--set path=value``
 overrides mirroring config field paths, ``--seed``, ``--out`` (output
-directory), ``--format csv|svg|both``. All file output is deterministic for
-a fixed seed.
+directory). The two charting commands, ``sweep-sifi`` and ``compare``, also
+take ``--format csv|svg|both``. All file output is deterministic for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None,
                         help="directory for output files (default: stdout only)")
-    parser.add_argument("--format", choices=("csv", "svg", "both"),
-                        default="csv")
+
+
+def _add_format(cmd: argparse.ArgumentParser) -> None:
+    # only the commands that draw a chart have an SVG to write
+    cmd.add_argument("--format", choices=("csv", "svg", "both"),
+                     default="csv")
 
 
 # optimize and compare keep --samples so that existing command lines run
@@ -68,6 +73,7 @@ def _add_analyze(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep(cmd: argparse.ArgumentParser) -> None:
+    _add_format(cmd)
     cmd.add_argument("--grid", default="1.0:4.8:0.1",
                      help="rate grid start:stop:step, or comma-separated values")
     cmd.add_argument("--mode", choices=("mcmc", "simulate", "exact", "both"),
@@ -87,6 +93,7 @@ def _add_optimize(cmd: argparse.ArgumentParser) -> None:
 
 
 def _add_compare(cmd: argparse.ArgumentParser) -> None:
+    _add_format(cmd)
     cmd.add_argument("--gamma-th", type=float, default=0.8)
     cmd.add_argument("--n-grid", default="5:100:5",
                      help="library-size grid start:stop:step or comma list")
@@ -158,9 +165,10 @@ def _write(args, filename: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(args, name: str, csv_text: Optional[str] = None,
-          svg_text: Optional[str] = None) -> None:
-    if csv_text is not None and args.format in ("csv", "both"):
+def _emit_chart(args, name: str, csv_text: str,
+                svg_text: Optional[str]) -> None:
+    """Write a charting command's CSV and SVG as ``--format`` asks."""
+    if args.format in ("csv", "both"):
         _write(args, f"{name}.csv", csv_text)
     if svg_text is not None and args.format in ("svg", "both"):
         _write(args, f"{name}.svg", svg_text)
@@ -187,17 +195,20 @@ def _cmd_simulate(args) -> int:
                  aggregate.sifi_stderr, aggregate.mean_total_energy,
                  aggregate.total_energy_stderr, aggregate.mean_delivered,
                  aggregate.mean_actual_relevant, aggregate.mean_frames])
-    _emit(args, "simulate", csv_text=render_csv(header, rows))
+    _write(args, "simulate.csv", render_csv(header, rows))
     return 0
 
 
 def _cmd_analyze(args) -> int:
     cfg = _load(args)
     if args.mode == "exact":
+        if args.trace or args.burn_in != 0 or not args.hastings:
+            raise ValueError("--trace, --burn-in and --no-hastings apply to "
+                             "--mode mcmc only")
         estimate = expected_sifi_exact(cfg)
         header = ["mode", "sifi", "samples", "acceptance_rate"]
         rows = [["exact", estimate, "", ""]]
-        _emit(args, "analyze", csv_text=render_csv(header, rows))
+        _write(args, "analyze.csv", render_csv(header, rows))
         return 0
     result = mcmc_expected_sifi(cfg, args.samples, args.seed,
                                 burn_in=args.burn_in,
@@ -206,12 +217,11 @@ def _cmd_analyze(args) -> int:
     header = ["mode", "sifi", "samples", "acceptance_rate"]
     rows = [["mcmc", result.estimate, result.samples,
              result.acceptance_rate]]
-    _emit(args, "analyze", csv_text=render_csv(header, rows))
+    _write(args, "analyze.csv", render_csv(header, rows))
     if args.trace and result.success_trace is not None:
         trace_rows = [[i, v] for i, v in enumerate(result.success_trace)]
-        _emit(args, "analyze_trace",
-              csv_text=render_csv(["step", "success_probability"],
-                                  trace_rows))
+        _write(args, "analyze_trace.csv",
+               render_csv(["step", "success_probability"], trace_rows))
     return 0
 
 
@@ -240,8 +250,7 @@ def _cmd_sweep(args) -> int:
     if series:
         svg = line_chart(series, title="Retrieval score vs compression rate",
                          x_label="compression rate [bpp]", y_label="score")
-    _emit(args, "sweep_sifi", csv_text=render_csv(header, table),
-          svg_text=svg)
+    _emit_chart(args, "sweep_sifi", render_csv(header, table), svg)
     return 0
 
 
@@ -261,14 +270,13 @@ def _cmd_optimize(args) -> int:
         rows = [[False, "", "", "", "", "", result.gamma_th]]
         print("no grid point satisfies the score constraint",
               file=sys.stderr)
-    _emit(args, "optimize", csv_text=render_csv(header, rows))
+    _write(args, "optimize.csv", render_csv(header, rows))
     if args.full_grid:
         grid_header = ["relevance_threshold", "rate", "slots", "sifi",
                        "expected_energy", "feasible"]
         grid_rows = [[p.relevance_threshold, p.rate, p.slots, p.sifi,
                       p.energy, p.feasible] for p in result.grid]
-        _emit(args, "optimize_grid",
-              csv_text=render_csv(grid_header, grid_rows))
+        _write(args, "optimize_grid.csv", render_csv(grid_header, grid_rows))
     return 0
 
 
@@ -293,7 +301,7 @@ def _cmd_compare(args) -> int:
              ("baseline", ns, [1.0] * len(ns))],
             title="Energy saving vs library size",
             x_label="images per device", y_label="energy ratio")
-    _emit(args, "compare", csv_text=render_csv(header, rows), svg_text=svg)
+    _emit_chart(args, "compare", render_csv(header, rows), svg)
     return 0
 
 
@@ -323,9 +331,8 @@ def _cmd_energy_breakdown(args) -> int:
         ["expected_total", expected_total_energy(cfg)],
         ["pass_probability", pth],
     ]
-    _emit(args, "energy_breakdown", csv_text=render_csv(header, rows))
-    _emit(args, "device_energy",
-          csv_text=render_csv(device_header, device_rows))
+    _write(args, "energy_breakdown.csv", render_csv(header, rows))
+    _write(args, "device_energy.csv", render_csv(device_header, device_rows))
     return 0
 
 
@@ -338,7 +345,7 @@ def _cmd_expected_energy(args) -> int:
             point = replace(cfg, relevance_threshold=vth,
                             compression_rate=rate)
             rows.append([vth, rate, expected_total_energy(point)])
-    _emit(args, "expected_energy", csv_text=render_csv(header, rows))
+    _write(args, "expected_energy.csv", render_csv(header, rows))
     return 0
 
 

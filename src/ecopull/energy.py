@@ -10,7 +10,6 @@ compressor inference plus one packet transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -23,37 +22,20 @@ from .hardware import inference_energy, model_load_energy
 
 __all__ = [
     "QuadratureError",
-    "EnergyBreakdown",
     "gaussian_tail",
     "quad_interval",
     "computation_energy",
     "communication_energy",
-    "device_energy",
     "model_load_total",
     "fixed_overhead_energy",
     "per_relevant_image_energy",
     "p_th",
-    "rel_count_pmf",
     "expected_total_energy",
     "expected_energy_over_rates",
 ]
 
 
 QUAD_ABS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    computation: float
-    communication: float
-
-    def __post_init__(self) -> None:
-        if self.computation < 0 or self.communication < 0:
-            raise ValueError("energy terms must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return self.computation + self.communication
 
 
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -123,20 +105,6 @@ def communication_energy(cfg: ScenarioConfig, relevant_count: int) -> float:
             + cfg.radio.tx_power * tx_bits) / cfg.radio.rate
 
 
-def device_energy(cfg: ScenarioConfig, relevant_count: int,
-                  transmitted_count: int | None = None) -> EnergyBreakdown:
-    """Total per-device energy split for one query.
-
-    ``transmitted_count`` caps the uplink term when a fixed frame horizon
-    stops the queue from draining; by default every relevant image is sent.
-    """
-    if transmitted_count is None:
-        transmitted_count = relevant_count
-    return EnergyBreakdown(
-        computation=computation_energy(cfg, relevant_count),
-        communication=communication_energy(cfg, transmitted_count))
-
-
 def fixed_overhead_energy(cfg: ScenarioConfig) -> float:
     """Energy spent regardless of how many images pass the filter."""
     return computation_energy(cfg, 0) + communication_energy(cfg, 0)
@@ -189,18 +157,13 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
                          points=[relevance_threshold])
 
 
-def rel_count_pmf(images_per_device: int, pass_probability: float) -> np.ndarray:
-    """Binomial pmf over relevant-image counts 0..N as a vector."""
-    return _binomial.pmf(images_per_device, pass_probability)
-
-
 def _capped_mean(images_per_device: int, pass_probability: float,
                  frames: int) -> float:
     # E[min(c, F)] for c ~ Bin(N, p), as F - sum_{c<F} (F - c) P(c): only
     # loads below the cap send fewer than F images
     if frames >= images_per_device:
         return images_per_device * pass_probability
-    pmf = rel_count_pmf(images_per_device, pass_probability)[:frames]
+    pmf = _binomial.pmf(images_per_device, pass_probability)[:frames]
     return frames - float(np.dot(frames - np.arange(frames), pmf))
 
 
@@ -210,8 +173,8 @@ def expected_energy_over_rates(cfg: ScenarioConfig,
 
     The pass probability, the fixed overhead and the compression energy
     are computed once; only the uplink packet depends on the rate. Each
-    value is bitwise ``expected_total_energy(form="closed")`` of ``cfg``
-    at that rate.
+    value is bitwise :func:`expected_total_energy` of ``cfg`` at that
+    rate.
 
     A device compresses all ``c ~ Bin(N, p_th)`` of its passed images but,
     under ``fixed_frames`` ``F``, sends one per frame, ``min(c, F)`` in
@@ -229,29 +192,11 @@ def expected_energy_over_rates(cfg: ScenarioConfig,
             for rate in rates]
 
 
-def expected_total_energy(cfg: ScenarioConfig, form: str = "sum") -> float:
+def expected_total_energy(cfg: ScenarioConfig) -> float:
     """Expected per-device energy for one query, in joules.
 
-    ``form="sum"`` accumulates over the relevant-count distribution;
-    ``form="closed"`` uses the binomial mean directly (the one-rate case of
-    :func:`expected_energy_over_rates`). Both agree to floating-point
-    accuracy and exist so each can check the other. Under
-    ``fixed_frames`` ``F`` the uplink term counts the ``min(c, F)`` images
-    a device sends, not the ``c`` it compresses.
+    The one-rate case of :func:`expected_energy_over_rates`. The energy is
+    affine in the compressed count ``c`` and the sent count ``min(c, F)``,
+    so its mean is that affine form at their means.
     """
-    if form == "closed":
-        return expected_energy_over_rates(cfg, (cfg.compression_rate,))[0]
-    if form != "sum":
-        raise ValueError(f"unknown form {form!r}")
-    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
-    overhead = fixed_overhead_energy(cfg)
-    n = cfg.images_per_device
-    counts = np.arange(n + 1)
-    weights = rel_count_pmf(n, pth)
-    if cfg.fixed_frames is None:
-        per_image = per_relevant_image_energy(cfg)
-        return float(np.dot(counts, weights) * per_image) + overhead
-    sent = np.minimum(counts, cfg.fixed_frames)
-    return (float(np.dot(counts, weights) * _compression_energy(cfg)
-                  + np.dot(sent, weights) * _uplink_energy(cfg))
-            + overhead)
+    return expected_energy_over_rates(cfg, (cfg.compression_rate,))[0]

@@ -146,8 +146,8 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     """Minimum expected energy over (threshold, rate) subject to a score floor.
 
     Every point's energy is taken first, one threshold at a time, and is
-    bitwise ``expected_total_energy(form="closed")`` of the config at that
-    point. Scoring is a branch and bound on those energies: thresholds are
+    bitwise ``expected_total_energy`` of the config at that point.
+    Scoring is a branch and bound on those energies: thresholds are
     visited cheapest point first, a rate is scored only while its energy is
     at most the best feasible energy found so far (every rate is scored
     while none is feasible), and the search stops at the first threshold

@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ecopull import (compare_schemes, compositions, expected_sifi_exact,
-                     expected_total_energy,
-                     fixed_overhead_energy, load_config, mcmc_expected_sifi,
-                     p_th, per_relevant_image_energy, realization_pmf,
-                     simulate, UniformTruth)
+from ecopull import (compare_schemes, expected_sifi_exact,
+                     expected_total_energy, fixed_overhead_energy,
+                     load_config, mcmc_expected_sifi, p_th,
+                     per_relevant_image_energy, simulate, UniformTruth)
 from ecopull.cli import main as cli_main
 from ecopull.experiments import SweepSpec, sweep_sifi_vs_rate
+from reference import (compositions, expected_energy_by_count,
+                       realization_pmf)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -104,8 +105,8 @@ def test_criterion_3_threshold_probability_consistency():
 def test_criterion_4_energy_identity():
     """Count-sum form equals the closed form and the simulated mean."""
     cfg = load_config()
-    by_sum = expected_total_energy(cfg, form="sum")
-    closed = expected_total_energy(cfg, form="closed")
+    by_sum = expected_energy_by_count(cfg)
+    closed = expected_total_energy(cfg)
     identity_err = abs(by_sum - closed) / closed
     direct = (cfg.images_per_device
               * p_th(cfg.relevance_threshold, cfg.model_noise,

@@ -8,12 +8,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, multinomial, norm
 
-from ecopull import (ConfigError, UniformTruth, compositions,
-                     expected_sifi_exact, fidelity_distance, load_config,
-                     mcmc_expected_sifi, omega_nonempty_probability, p_delta,
-                     p_th, realization_pmf, sifi_affine, simulate)
+from ecopull import (ConfigError, UniformTruth, expected_sifi_exact,
+                     fidelity_distance, load_config, mcmc_expected_sifi,
+                     omega_nonempty_probability, p_delta, p_th, sifi_affine,
+                     simulate)
 from ecopull.analytic import (_mean_fractions, _panel_rule,
                               expected_sifi_over_rates, score_terms)
+from reference import compositions, realization_pmf
 
 
 def cfg_for(device_count, images, slots, **overrides):

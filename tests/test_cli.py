@@ -240,6 +240,10 @@ def test_config_errors_exit_code(capsys):
     ["expected-energy", "--vth-grid", "0.5:0.8:nan"],
     ["expected-energy", "--vth-grid", "0.5:inf:0.1"],
     ["compare", "--n-grid", "5:inf:5"],
+    # the closed form runs no chain
+    ["analyze", "--mode", "exact", "--trace"],
+    ["analyze", "--mode", "exact", "--burn-in", "50"],
+    ["analyze", "--mode", "exact", "--no-hastings"],
 ])
 def test_bad_numeric_arguments_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
@@ -247,6 +251,30 @@ def test_bad_numeric_arguments_exit_2(capsys, argv):
     assert out == ""
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [
+    command for command in cli._COMMANDS
+    if command not in ("sweep-sifi", "compare")])
+def test_format_is_offered_only_where_a_chart_is_drawn(capsys, command):
+    # a chartless command has no SVG to write, so --format is unknown there
+    rc, _, err = parse_outcome(capsys, main, [command, "--format", "svg"])
+    assert rc == 2
+    assert "unrecognized arguments: --format svg" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep-sifi", "--grid", "1.0,2.0", "--mode", "exact",
+     "--set", "images_per_device=6"],
+    ["compare", "--n-grid", "5", "--gamma-th", "0.0"],
+])
+def test_format_svg_writes_only_the_chart(tmp_path, capsys, command):
+    rc, _, _ = run_cli(capsys, *command, "--format", "svg",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    [written] = tmp_path.iterdir()
+    assert written.suffix == ".svg"
+    assert written.read_text().startswith("<svg")
 
 
 def parse_outcome(capsys, parse, argv):
@@ -330,6 +358,14 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
                                "49e79c628e207d0ea6109aedd429d92d"),
       "device_energy.csv": ("8f3c886e8b6f64a64245a4d88ffbde56"
                             "1e81f4c74be895e1ff89d1e65a53f880")}),
+    # the expected energy over the default grids, draining every queue
+    # and under a frame cap
+    (["expected-energy"],
+     {"expected_energy.csv": ("0e528d1e93fa9386077c3ab6cf464c00"
+                              "506ff5d161e0daf522ad59fc49cffc6b")}),
+    (["expected-energy", "--set", "fixed_frames=3"],
+     {"expected_energy.csv": ("038a75d644326e774275516feb76563d"
+                              "33b5b260427142bf6fff93abbc77edc5")}),
     # every point of the default design grid, none pruned
     (["optimize", "--gamma-th", "0.8", "--full-grid"],
      {"optimize.csv": ("5c571397736970f4c9fcddbe55d04ac9"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from ecopull import (UniformTruth, communication_energy, computation_energy,
-                     device_energy, expected_total_energy,
-                     fixed_overhead_energy, inference_energy, load_config,
-                     model_load_total, p_th, per_relevant_image_energy,
-                     rel_count_pmf, simulate)
+                     expected_total_energy, fixed_overhead_energy,
+                     inference_energy, load_config, model_load_total, p_th,
+                     per_relevant_image_energy, simulate)
+from reference import expected_energy_by_count
 
 LOAD = 4.622336e-4 + 8.71424e-6  # both models staged in SRAM
 
@@ -63,16 +63,6 @@ def test_communication_energy_scales_with_rx_power():
     assert ratio == pytest.approx(1e7, rel=1e-9)
 
 
-def test_device_energy_breakdown_is_exact():
-    cfg = load_config({"images_per_device": 20})
-    split = device_energy(cfg, 5)
-    assert split.total == split.computation + split.communication
-    assert split.computation == computation_energy(cfg, 5)
-    assert split.communication == communication_energy(cfg, 5)
-    capped = device_energy(cfg, 5, transmitted_count=3)
-    assert capped.communication == communication_energy(cfg, 3)
-
-
 def test_p_th_reference_values():
     truth = UniformTruth()
     assert p_th(0.6, 0.125, truth) == pytest.approx(0.4000231367, abs=1e-8)
@@ -101,19 +91,12 @@ def test_p_th_input_validation():
         p_th(1.5, 0.1, truth)
 
 
-def test_p_rel_values():
-    # P_rel, the law of a device's relevant-image count, is rel_count_pmf
-    assert rel_count_pmf(10, 0.0)[0] == pytest.approx(1.0)
-    assert rel_count_pmf(2, 0.5)[1] == pytest.approx(0.5)
-    assert rel_count_pmf(100, 0.4).sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_expected_energy_sum_equals_closed_form():
     for overrides in ({}, {"relevance_threshold": 0.8},
                       {"compression_rate": 1.3, "images_per_device": 17}):
         cfg = load_config(overrides)
-        by_sum = expected_total_energy(cfg, form="sum")
-        closed = expected_total_energy(cfg, form="closed")
+        by_sum = expected_energy_by_count(cfg)
+        closed = expected_total_energy(cfg)
         assert by_sum == pytest.approx(closed, rel=1e-9)
 
 
@@ -146,19 +129,16 @@ def test_expected_energy_honours_fixed_frames(overrides):
     cfg = load_config(overrides)
     aggregate = simulate(cfg, 2000, 1)
     margin = 5 * aggregate.total_energy_stderr
-    closed = expected_total_energy(cfg, form="closed")
-    assert expected_total_energy(cfg, form="sum") == pytest.approx(
-        closed, rel=1e-12)
+    closed = expected_total_energy(cfg)
+    assert expected_energy_by_count(cfg) == pytest.approx(closed, rel=1e-12)
     assert abs(aggregate.mean_total_energy - closed) < margin
     # the drain-all energy fails the same check
-    drained = expected_total_energy(replace(cfg, fixed_frames=None),
-                                    form="closed")
+    drained = expected_total_energy(replace(cfg, fixed_frames=None))
     assert drained - aggregate.mean_total_energy > 10 * margin
 
 
 def test_frame_cap_beyond_every_queue_changes_nothing():
     cfg = load_config({"images_per_device": 12})
     capped = replace(cfg, fixed_frames=12)
-    for form in ("sum", "closed"):
-        assert expected_total_energy(capped, form=form) == pytest.approx(
-            expected_total_energy(cfg, form=form), rel=1e-12)
+    for energy in (expected_energy_by_count, expected_total_energy):
+        assert energy(capped) == pytest.approx(energy(cfg), rel=1e-12)

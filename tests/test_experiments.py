@@ -112,7 +112,7 @@ def test_grid_points_equal_single_point_evaluation():
         single = replace(cfg, relevance_threshold=point.relevance_threshold,
                          compression_rate=point.rate)
         assert point.sifi == expected_sifi_exact(single)
-        assert point.energy == expected_total_energy(single, form="closed")
+        assert point.energy == expected_total_energy(single)
         assert point.slots == single.frame_slots()
 
 
@@ -203,7 +203,7 @@ def test_optimize_result_is_rederivable():
     assert result.feasible
     chosen = replace(cfg, relevance_threshold=result.relevance_threshold,
                      compression_rate=result.rate)
-    assert expected_total_energy(chosen, form="closed") == pytest.approx(
+    assert expected_total_energy(chosen) == pytest.approx(
         result.energy, rel=1e-12)
     assert result.sifi >= 0.8
 

@@ -3,8 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from ecopull import (RoundStats, device_energy, fidelity_distance, load_config,
-                     p_th, run_round, simulate)
+from ecopull import (RoundStats, communication_energy, computation_energy,
+                     fidelity_distance, load_config, p_th, run_round,
+                     simulate)
 from ecopull import sim
 from ecopull.cli import main as cli_main
 
@@ -183,11 +184,10 @@ def test_round_outcome_invariants(small_cfg):
 def test_energy_accounting_per_round(small_cfg):
     out = run_round(small_cfg, 8)
     for dev, count in enumerate(out.relevant_counts):
-        expected = device_energy(small_cfg, int(count))
-        assert out.computation[dev] == pytest.approx(expected.computation,
-                                                     rel=1e-12)
+        assert out.computation[dev] == pytest.approx(
+            computation_energy(small_cfg, int(count)), rel=1e-12)
         assert out.communication[dev] == pytest.approx(
-            expected.communication, rel=1e-12)
+            communication_energy(small_cfg, int(count)), rel=1e-12)
 
 
 def test_fixed_frame_horizon_caps_attempts():
