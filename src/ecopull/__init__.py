@@ -17,10 +17,10 @@ from .config import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
                      TruthDistribution, UniformTruth, apply_overrides,
                      dump_config, load_config, packet_bits, save_config,
                      slots_for_rate)
-from .energy import (QuadratureError, communication_energy,
-                     computation_energy, expected_total_energy,
-                     fixed_overhead_energy, gaussian_tail, model_load_total,
-                     p_th, per_relevant_image_energy, quad_interval)
+from .energy import (communication_energy, computation_energy,
+                     expected_total_energy, fixed_overhead_energy,
+                     gaussian_tail, model_load_total, p_th,
+                     per_relevant_image_energy)
 from .experiments import (CompareResult, CompareRow, GridPoint,
                           OptimizationResult, SweepRow, SweepSpec,
                           compare_schemes, default_rate_grid,

@@ -52,22 +52,21 @@ bins empty or fill), so its stationary law is the multinomial;
 ``hastings=False`` gives the paper's plain probability ratio, whose
 stationary law is not.
 
-Both evaluators read one binomial law, ``_binomial.saddle_logpmf``, so
-neither loads scipy; only a Beta truth does.
+Both evaluators read one binomial law, ``_binomial.saddle_logpmf``, and
+the filtered masses of ``energy``; the package loads no scipy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._binomial import saddle_logpmf
 from .config import ScenarioConfig
-from .energy import _filtered_mass, p_th
+from .energy import _filtered_mass, _gauss_rule, p_th
 from .sifi import fidelity_distance
 
 __all__ = [
@@ -151,7 +150,7 @@ def score_terms(cfg: ScenarioConfig,
     alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
     alpha_n = ((pdelta - detect) / (1.0 - pass_probability)
                if pass_probability < 1.0 else 0.0)
-    # quadrature rounding must not push either probability out of [0, 1]
+    # rounding in the masses must not push either probability out of [0, 1]
     return (offset, gain, min(max(alpha_r, 0.0), 1.0),
             min(max(alpha_n, 0.0), 1.0))
 
@@ -173,13 +172,6 @@ _LOAD_BLOCK = 64  # G is evaluated for this many consecutive loads at once
 # later one twice the e-folds of the one before at a tiny fraction of it.
 _FIRST_PANEL = 8.0
 _PANEL_ORDER = 32  # Gauss-Legendre nodes per panel
-
-
-@lru_cache(maxsize=2)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .analytic import expected_sifi_exact, mcmc_expected_sifi
 from .config import (ConfigError, ScenarioConfig, _parse_json,
                      apply_overrides, dump_config, load_config)
-from .energy import (QuadratureError, communication_energy,
-                     computation_energy, expected_total_energy, p_th)
+from .energy import (communication_energy, computation_energy,
+                     expected_total_energy, p_th)
 from .experiments import (SweepSpec, compare_schemes, optimize,
                           render_csv, sweep_sifi_vs_rate)
 from .hardware import e_dram_access, e_muac, inference_breakdown
@@ -293,7 +293,11 @@ def _cmd_compare(args) -> int:
             for r in result.rows]
     feasible = [r for r in result.rows if r.feasible]
     svg = None
-    if feasible:
+    if args.format != "csv":
+        if not feasible:
+            print("compare: no library size has a feasible design point, "
+                  "so there is no chart to draw", file=sys.stderr)
+            return 2
         ns = [r.images_per_device for r in feasible]
         svg = line_chart(
             [("ecopull", ns, [r.eta_ecopull for r in feasible]),
@@ -414,9 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # the library's own argument checks (rounds, samples, gamma_th, ...)
         print(f"invalid argument: {exc}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -16,14 +16,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _binomial
-from ._quadpack import QuadratureError, quad
-from .config import ScenarioConfig, TruthDistribution, packet_bits
+from .config import ScenarioConfig, TruthDistribution, _betainc, packet_bits
 from .hardware import inference_energy, model_load_energy
 
 __all__ = [
-    "QuadratureError",
     "gaussian_tail",
-    "quad_interval",
     "computation_energy",
     "communication_energy",
     "model_load_total",
@@ -35,9 +32,6 @@ __all__ = [
 ]
 
 
-QUAD_ABS_TOL = 1e-9
-
-
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -47,29 +41,39 @@ def gaussian_tail(x):
     return 0.5 * np.asarray(_erfc(z), dtype=float)
 
 
-def quad_interval(func, lo: float, hi: float,
-                  abs_tol: float = QUAD_ABS_TOL, points=None) -> float:
-    """Adaptive quadrature of ``func`` over [lo, hi] to ``abs_tol``.
+@lru_cache(maxsize=4)
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
-    ``func`` is called on arrays of nodes. ``points`` marks interior
-    breakpoints (sharp features); values outside the open interval are
-    dropped. The rule is QUADPACK's (``_quadpack``) at scipy's ``quad``
-    default relative tolerance. Non-convergence, or an error estimate
-    above ten times ``max(abs_tol, 1e-12 * |value|)`` even at zero
-    relative tolerance, raises QuadratureError.
+
+_QUAD_ORDER = 16   # Gauss-Legendre nodes per panel of quad_interval
+_GRADING = 0.25     # length ratio of successive panels toward a graded end
+
+
+def quad_interval(func, lo: float, hi: float, panel: float,
+                  graded: tuple[int, int] = (0, 0)) -> float:
+    """Integral of ``func`` over [lo, hi] on fixed Gauss-Legendre panels.
+
+    ``func`` is called once, on the array of all nodes. The interval is
+    cut into equal panels no longer than ``panel``. ``graded = (k_lo,
+    k_hi)`` splits the end panel at ``lo`` into ``k_lo + 1`` panels whose
+    lengths shrink by ``_GRADING`` toward ``lo``, and likewise at ``hi``:
+    the rule for an integrand that is not smooth at or just beyond an end.
     """
-    interior = None
-    if points is not None:
-        interior = [p for p in points if lo < p < hi] or None
-    value, abserr = quad(func, lo, hi, abs_tol, points=interior)
-    if abserr > max(abs_tol, 1e-12 * abs(value)) * 10:
-        # the relative tolerance stopped the subdivision above this bound
-        value, abserr = quad(func, lo, hi, abs_tol, epsrel=0.0,
-                             points=interior)
-    if abserr > max(abs_tol, 1e-12 * abs(value)) * 10:
-        raise QuadratureError(
-            f"quadrature error estimate {abserr:.3e} exceeds tolerance")
-    return value
+    if not lo < hi:
+        return 0.0
+    count = max(math.ceil((hi - lo) / panel), 1 + (min(graded) > 0))
+    step = (hi - lo) / count
+    below = lo + step * _GRADING ** np.arange(graded[0], 0, -1)
+    above = hi - step * _GRADING ** np.arange(1, graded[1] + 1)
+    edges = np.concatenate([[lo], below, lo + step * np.arange(1, count),
+                            above, [hi]])
+    nodes, weights = _gauss_rule(_QUAD_ORDER)
+    spans = np.diff(edges)[:, None]
+    points = (edges[:-1, None] + spans * nodes).ravel()
+    return float(np.dot((spans * weights).ravel(), func(points)))
 
 
 def model_load_total(cfg: ScenarioConfig) -> float:
@@ -129,9 +133,8 @@ def p_th(relevance_threshold: float, model_noise: float,
          truth: TruthDistribution) -> float:
     """Probability that an image's noisy score clears the device threshold.
 
-    Integrates ``Q((V_th - beta) / sigma)`` against the true-similarity
-    density by adaptive quadrature (absolute tolerance 1e-9). The threshold
-    is passed as a breakpoint so near-degenerate noise keeps converging.
+    The mass ``E[Q((V_th - beta) / sigma)]`` over the true similarity
+    ``beta``; see :func:`_filtered_mass` for how it is evaluated.
     """
     if not 0.0 <= relevance_threshold <= 1.0:
         raise ValueError(
@@ -141,20 +144,92 @@ def p_th(relevance_threshold: float, model_noise: float,
     return _filtered_mass(relevance_threshold, model_noise, truth, 0.0)
 
 
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the Gaussian beyond this many standard deviations carries Q(9) = 1.1e-19
+_NOISE_REACH = 9.0
+# Gauss-Legendre panels of the Beta path span at most this many standard
+# deviations of the noise, and of the truth
+_NOISE_PANEL = 3.0
+_TRUTH_PANEL = 2.0
+# toward an end where the CDF goes as x^e, ceil(16 / (e + 1)) graded
+# levels leave an innermost panel holding 4^-16 (2e-10) of the end panel's
+# x^e mass, which its 16-node rule still gets to about 1e-3
+_GRADED_DEPTH = 16.0
+
+
+def _normal_cdf(z: float) -> float:
+    return float(gaussian_tail(-z))
+
+
+def _normal_partial_mean(z: float) -> float:
+    # G(z) = z Phi(z) + phi(z), the antiderivative of Phi
+    return z * _normal_cdf(z) + _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def _graded_levels(exponent: float) -> int:
+    # the CDF is x^e times a smooth function at an end, itself smooth
+    # for an integer e
+    if float(exponent).is_integer():
+        return 0
+    return math.ceil(_GRADED_DEPTH / (exponent + 1.0))
+
+
+def _beta_filtered_mass(threshold: float, noise: float, alpha: float,
+                        beta: float, lower: float) -> float:
+    # by parts, with S = 1 - F the truth's upper tail:
+    # Phi((lower - V)/s) S(lower) + (1/s) int_lower^1 S(b) phi((b - V)/s) db.
+    # The integral runs in z = (b - V)/s over |z| <= 9, and b and 1 - b are
+    # formed from the offset s*z so that neither loses digits to V.
+    z_lo = max((lower - threshold) / noise, -_NOISE_REACH)
+    z_hi = min((1.0 - threshold) / noise, _NOISE_REACH)
+    spread = math.sqrt(alpha * beta / ((alpha + beta + 1.0)
+                                       * (alpha + beta) ** 2))
+    panel = min(_NOISE_PANEL, _TRUTH_PANEL * spread / noise)
+    reach = min(panel, z_hi - z_lo) * noise
+    # an end within one panel of 0 or 1 is graded toward that end
+    graded = (
+        _graded_levels(alpha) if threshold + noise * z_lo < reach else 0,
+        _graded_levels(beta) if 1.0 - threshold - noise * z_hi < reach else 0)
+
+    def integrand(z):
+        offset = noise * z
+        _, tail = _betainc(alpha, beta, threshold + offset,
+                           1.0 - threshold - offset)
+        return tail * np.exp(-0.5 * z * z)
+
+    _, tail = _betainc(alpha, beta, lower, 1.0 - lower)
+    return (_normal_cdf((lower - threshold) / noise) * float(tail)
+            + _INV_SQRT_2PI * quad_interval(integrand, z_lo, z_hi, panel,
+                                            graded))
+
+
 @lru_cache(maxsize=4096)
 def _filtered_mass(relevance_threshold: float, model_noise: float,
                    truth: TruthDistribution, lower: float) -> float:
     """Mass of true similarities in [lower, 1] whose noisy score clears the
     threshold: ``p_th`` at ``lower = 0``, and at the truth threshold the
-    joint mass of being actually relevant and passing the filter."""
+    joint mass of being actually relevant and passing the filter.
+
+    The mass is ``int_lower^1 Phi((beta - V)/s) dF(beta)``, and the truth's
+    ``kind`` picks how it is evaluated. For a uniform truth it is closed:
+    ``s [G((1 - V)/s) - G((lower - V)/s)]`` with ``G(z) = z Phi(z) +
+    phi(z)``. For a Beta truth it is taken by parts, so that the integrand
+    is the bounded upper tail ``1 - F`` against the Gaussian density, on
+    fixed Gauss-Legendre panels over ``V +- 9 s``, graded toward an end at
+    0 or 1 where ``F`` is not smooth (:func:`quad_interval`). Both agree
+    with a 30-digit reference to 1e-12 absolute.
+    """
     # a grid search asks for the same threshold once per rate and library
     # size; truth distributions are frozen, so they can key the cache
-    def integrand(beta):
-        return (gaussian_tail((relevance_threshold - beta) / model_noise)
-                * truth.density(beta))
-
-    return quad_interval(integrand, lower, 1.0,
-                         points=[relevance_threshold])
+    if truth.kind == "uniform":
+        return model_noise * (
+            _normal_partial_mean((1.0 - relevance_threshold) / model_noise)
+            - _normal_partial_mean((lower - relevance_threshold)
+                                   / model_noise))
+    if truth.kind == "beta":
+        return _beta_filtered_mass(relevance_threshold, model_noise,
+                                   truth.alpha, truth.beta, lower)
+    raise ValueError(f"no filtered mass for truth kind {truth.kind!r}")
 
 
 def _capped_mean(images_per_device: int, pass_probability: float,

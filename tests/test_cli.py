@@ -117,15 +117,14 @@ def test_energy_breakdown_rows(capsys):
 def test_energy_breakdown_writes_nothing_on_failure(capsys, monkeypatch,
                                                    tmp_path):
     import ecopull.cli
-    from ecopull.energy import QuadratureError
 
     def fail(*args):
-        raise QuadratureError("no convergence")
+        raise ValueError("no pass probability")
 
     monkeypatch.setattr(ecopull.cli, "p_th", fail)
     rc, _, err = run_cli(capsys, "energy-breakdown", "--out", str(tmp_path))
-    assert rc == 3
-    assert "quadrature failure" in err
+    assert rc == 2
+    assert err == "invalid argument: no pass probability\n"
     assert list(tmp_path.glob("*.csv")) == []
 
 
@@ -275,6 +274,18 @@ def test_format_svg_writes_only_the_chart(tmp_path, capsys, command):
     [written] = tmp_path.iterdir()
     assert written.suffix == ".svg"
     assert written.read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("fmt", ["svg", "both"])
+def test_compare_chart_without_a_feasible_point_fails(tmp_path, capsys, fmt):
+    # no N meets gamma_th = 1, so there is no line to draw
+    rc, out, err = run_cli(capsys, "compare", "--n-grid", "5", "--gamma-th",
+                           "1.0", "--format", fmt, "--out", str(tmp_path))
+    assert rc == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "no library size has a feasible design point" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def parse_outcome(capsys, parse, argv):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -147,16 +148,24 @@ def test_replace_does_not_revalidate_truth(monkeypatch):
 def test_truth_with_wrong_mass_rejected_on_construction():
     @dataclasses.dataclass(frozen=True)
     class DoubledTruth(UniformTruth):
-        def density(self, beta):
-            return 2.0 * super().density(beta)
+        def cdf(self, beta):
+            return 2.0 * super().cdf(beta)
 
-    with pytest.raises(ConfigError, match="integrates"):
+    with pytest.raises(ConfigError, match=r"cdf\(1\) != 1"):
         DoubledTruth()
 
 
 def test_bad_beta_spec_rejected():
     with pytest.raises(ConfigError, match="beta"):
         load_config({"truth_distribution": {"kind": "beta", "alpha": -1.0,
+                                            "beta": 2.0}})
+
+
+@pytest.mark.parametrize("alpha", [math.inf, math.nan])
+def test_non_finite_beta_shape_rejected(alpha):
+    # an infinite shape once failed in the density quadrature instead
+    with pytest.raises(ConfigError, match="must be finite"):
+        load_config({"truth_distribution": {"kind": "beta", "alpha": alpha,
                                             "beta": 2.0}})
 
 

@@ -301,8 +301,11 @@ def _fresh_interpreter(code, out):
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    # the quadrature, the normal tail and both score paths' log P(c) run on
-    # numpy; scipy.special is loaded only by Beta truths
+    # the filtered masses, the incomplete beta, the normal tail and both
+    # score paths' log P(c) run on numpy, for a uniform and a Beta truth
+    beta = ["--set", "truth_distribution.kind=beta",
+            "--set", "truth_distribution.alpha=2",
+            "--set", "truth_distribution.beta=5"]
     code = (
         "import sys\n"
         "import ecopull, ecopull.cli\n"
@@ -313,21 +316,24 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         "             ['analyze', '--mode', 'mcmc', '--samples', '200'],\n"
         "             ['sweep-sifi', '--mode', 'mcmc', '--grid', '1.0,2.0',\n"
         "              '--samples', '200'],\n"
-        "             ['energy-breakdown'], ['expected-energy']):\n"
+        "             ['energy-breakdown'], ['expected-energy'],\n"
+        f"             ['compare', '--n-grid', '5', *{beta!r}],\n"
+        f"             ['analyze', '--mode', 'exact', *{beta!r}]):\n"
         "    assert ecopull.cli.main(argv + ['--out', out]) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
     assert _fresh_interpreter(code, tmp_path) == "[]"
 
 
 def test_beta_truth_loads_no_scipy_stats(tmp_path):
+    # building and validating a Beta truth, and its pass mass, run on the
+    # numpy incomplete beta: no scipy module loads, scipy.stats included
     code = (
         "import sys\n"
-        "import ecopull, ecopull.cli\n"
-        "ecopull.load_config({'truth_distribution':\n"
-        "                     {'kind': 'beta', 'alpha': 2, 'beta': 5}})\n"
-        "assert ecopull.cli.main([\n"
-        "    'compare', '--n-grid', '5', '--set', 'truth_distribution.kind=beta',\n"
-        "    '--set', 'truth_distribution.alpha=2',\n"
-        "    '--set', 'truth_distribution.beta=5', '--out', sys.argv[1]]) == 0\n"
-        "print('scipy.stats' in sys.modules)\n")
-    assert _fresh_interpreter(code, tmp_path) == "False"
+        "import ecopull, ecopull.energy\n"
+        "cfg = ecopull.load_config({'truth_distribution':\n"
+        "                           {'kind': 'beta', 'alpha': 2, 'beta': 5}})\n"
+        "p = ecopull.energy.p_th(cfg.relevance_threshold, cfg.model_noise,\n"
+        "                        cfg.truth_distribution)\n"
+        "assert 0.0 < p < 1.0, p\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    assert _fresh_interpreter(code, tmp_path) == "[]"
