@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -12,6 +16,7 @@ from ecopull import (ConfigError, UniformTruth, expected_sifi_exact,
                      fidelity_distance, load_config, mcmc_expected_sifi,
                      omega_nonempty_probability, p_delta, p_th, sifi_affine,
                      simulate)
+from ecopull import analytic
 from ecopull.analytic import (_mean_fractions, _panel_rule,
                               expected_sifi_over_rates, score_terms)
 from reference import compositions, realization_pmf
@@ -214,6 +219,116 @@ def test_closed_form_matches_30_digit_reference(devices, images, slots):
     assert fast == pytest.approx(
         unswapped_mean_fraction(devices, images, slots, *args),
         rel=1e-12, abs=0.0)
+
+
+def doubling_edges(lam):
+    # the panel edges h, 2h, 4h, ... (h = 8/lam) doubled all the way to 1
+    edges = [0.0]
+    edge = 8.0 / lam if lam > 8.0 else 1.0
+    while edge < 1.0:
+        edges.append(edge)
+        edge *= 2.0
+    return edges + [1.0]
+
+
+def doubling_rule(lam):
+    # a rule padded well past its integrand's needs, the yardstick of the
+    # gate below: 32 Gauss-Legendre nodes on every panel up to s = 1
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    edges = np.array(doubling_edges(lam))
+    start, span = edges[:-1, None], np.diff(edges)[:, None]
+    return ((start + span * 0.5 * (nodes + 1.0)).ravel(),
+            (span * 0.5 * weights).ravel())
+
+
+def adaptive_mean_fraction(devices, images, slots, pth, alpha_r, alpha_n):
+    # the swapped integrand K alpha_r (1/x_r) sum_nu S_nu M_nu^(K-1) by
+    # mpmath's own adaptive quadrature at 30 digits, split at the doubling
+    # edges up to s = 1; returns the value and mpmath's error estimate
+    with mpmath.workdps(30):
+        pth, alpha_r, alpha_n = map(mpmath.mpf, (pth, alpha_r, alpha_n))
+        prob = [mpmath.binomial(images, c) * pth ** c
+                * (1 - pth) ** (images - c) for c in range(images + 1)]
+
+        def integrand(s):
+            xr, xn = 1 - alpha_r * s, 1 - alpha_n * s
+            suffix = [mpmath.mpf(0)] * (images + 2)
+            for c in range(images, -1, -1):
+                suffix[c] = (suffix[c + 1]
+                             + prob[c] * xr ** c * xn ** (images - c))
+            return mpmath.fsum(
+                suffix[nu] * (suffix[0] - suffix[nu] / slots)
+                ** (devices - 1) for nu in range(1, images + 1)) / xr
+
+        lam = (devices * images - 1) * float(pth * alpha_r
+                                             + (1 - pth) * alpha_n)
+        value, error = mpmath.quad(integrand, doubling_edges(lam),
+                                   method="gauss-legendre", error=True)
+        return (float(devices * alpha_r * value),
+                float(devices * alpha_r * error))
+
+
+@pytest.mark.parametrize("devices, images, slots, pth, alpha_r, alpha_n", [
+    (5, 25, 15, 0.24, 0.8, 0.05),
+    (5, 100, 20, 0.24, 0.9, 0.05),
+    (5, 100, 15, 0.3, 1.0, 0.0),
+    (50, 20, 2, 0.3, 0.8, 0.05),
+    (3, 8, 1, 0.3, 0.8, 0.05),
+    (1, 6, 4, 0.3, 0.8, 0.05),
+    (200, 50, 1, 1e-4, 1.0, 1e-4),  # one panel at large KN
+    (200, 50, 15, 1e-4, 1.0, 1e-4),
+    (200, 20, 15, 0.3, 0.8, 0.05),
+    (1000, 5, 3, 0.01, 1.0, 0.0),
+    (1000, 50, 15, 0.3, 0.8, 0.05),  # lam = 1.5e4: the cut drops panels
+])
+def test_closed_form_matches_adaptive_reference(
+        monkeypatch, devices, images, slots, pth, alpha_r, alpha_n):
+    # an independent quadrature, so unlike the 30-digit test above this
+    # one sees the rule's own error and the tail it cuts
+    args = (devices, images, [slots], pth, alpha_r, alpha_n)
+    reference, error = adaptive_mean_fraction(devices, images, slots, pth,
+                                              alpha_r, alpha_n)
+    assert error < 1e-20 * reference  # the reference itself is trustworthy
+    fast = _mean_fractions(*args)[slots]
+    monkeypatch.setattr(analytic, "_panel_rule", doubling_rule)
+    doubled = _mean_fractions(*args)[slots]
+    # at K = 1000 both rules sit near an arithmetic floor of about 1e-13
+    assert abs(fast - reference) <= reference * max(
+        1e-13, 2.0 * abs(doubled - reference) / reference)
+    if devices <= 200:
+        assert fast == pytest.approx(doubled, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("lam", [0.5, 8.0, 150.0, 1e5])
+def test_panel_rule_stops_where_the_tail_is_negligible(lam):
+    # past s* = 48/lam the integrand's mass is below 3e-21 (analytic.py)
+    stop = min(1.0, 48.0 / lam)
+    nodes, weights = _panel_rule(lam)
+    assert np.all((nodes > 0.0) & (nodes < stop))
+    assert weights.sum() == pytest.approx(stop, rel=1e-14)
+    if lam == 1e5:
+        # panels run on to s = 1 would number 15
+        assert len(nodes) <= 4 * analytic._PANEL_ORDER
+
+
+def test_closed_form_memory_stays_bounded_at_huge_libraries(tmp_path):
+    # a fresh interpreter, so its peak RSS is this run's alone; each of the
+    # rule's rows holds O(N), so the row count sets the peak
+    code = (
+        "import resource, sys\n"
+        "import ecopull.cli\n"
+        "assert ecopull.cli.main(['analyze', '--mode', 'exact', '--set',\n"
+        "    'images_per_device=40000', '--out', sys.argv[1]]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    peak_kb = int(done.stdout.strip().splitlines()[-1])  # KB on Linux
+    assert peak_kb < 400 * 1024
 
 
 @pytest.mark.parametrize("devices, images, slots, pth, alpha_r, alpha_n", [

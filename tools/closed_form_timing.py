@@ -4,14 +4,15 @@ Run from the root of a source checkout, given a second checkout to compare
 against (for example the parent commit, unpacked with ``git archive``)::
 
     python3 tools/closed_form_timing.py --parent ../parent --pairs 10 \
-        --out BENCH_13.json
+        --out BENCH_17.json
 
 Each pair runs one fresh interpreter per side, alternating which side runs
 first. An interpreter imports ``ecopull`` from its side's ``src/`` and
 times, each as the median of several calls after one warm-up call:
 
 - ``analytic._mean_fractions`` for one threshold of the default scenario
-  at K=5, N=100 and at K=50, N=1000 (one slot count, the default rate's);
+  at K=5, N=100, at K=50, N=1000 and at K=5, N=10000, the large-library
+  path (one slot count, the default rate's);
 - one ``compare --n-grid 25,100 --gamma-th 0.8`` call (the benchmark's
   ``design`` workload) and one ``compare --n-grid 5:100:5 --gamma-th 0.8``
   call (the default library-size grid) through ``ecopull.cli.main``, each
@@ -27,7 +28,7 @@ import tempfile
 
 from paired_timing import empty_caches, median_ms, run
 
-SIZES = ((5, 100, 50), (50, 1000, 10))  # (K, N, timed calls)
+SIZES = ((5, 100, 50), (50, 1000, 10), (5, 10000, 3))  # (K, N, calls)
 COMPARE_CALLS = 5
 COMPARE_ARGVS = {
     "compare_ms": ["compare", "--n-grid", "25,100", "--gamma-th", "0.8"],
