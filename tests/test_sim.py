@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -405,3 +407,123 @@ def test_run_round_draws_from_default_rng(seed):
     np.testing.assert_array_equal(out.observed_similarity,
                                   rng.normal(0.0, cfg.model_noise, (2, 3))
                                   + beta)
+
+
+@pytest.mark.parametrize("spec", [{}, BLOCK_CONFIGS["beta-truth"]],
+                         ids=["uniform", "beta"])
+def test_in_place_draws_equal_fresh_draws(spec):
+    cfg = load_config({"device_count": 3, "images_per_device": 40, **spec})
+    ctx = sim._Context(cfg)
+    shape = (3, 40)
+    for seed in range(60):
+        got = [np.empty(shape) for _ in range(3)]
+        sim._draw(ctx, np.random.default_rng(seed), *got)
+        rng = np.random.default_rng(seed)
+        beta = cfg.truth_distribution.sample(rng, shape)
+        expected = [beta, rng.normal(0.0, cfg.model_noise, shape) + beta,
+                    rng.random(shape)]
+        for drawn, fresh in zip(got, expected):
+            np.testing.assert_array_equal(drawn.view(np.uint64),
+                                          fresh.view(np.uint64))
+
+
+# Given two CPUs, simulate runs rounds of at least _MIN_THREADED_ROUND
+# images on the calling thread and one worker.
+
+LARGE = BLOCK_CONFIGS["large"]
+THREADED_EDGE = {"device_count": 16, "images_per_device": 1024}
+THREADED_CASES = {
+    "large-1": (LARGE, 1),
+    "large-2": (LARGE, 2),
+    "large-3": (LARGE, 3),
+    "beta-fixed-frames": ({**THREADED_EDGE, "fixed_frames": 3,
+                           **BLOCK_CONFIGS["beta-truth"]}, 5),
+}
+
+
+def set_cpus(monkeypatch, count):
+    monkeypatch.setattr(sim, "_usable_cpus", lambda: count)
+
+
+@pytest.mark.parametrize("spec, rounds", THREADED_CASES.values(),
+                         ids=THREADED_CASES)
+def test_threaded_rounds_equal_serial_rounds(monkeypatch, spec, rounds):
+    cfg = load_config(spec)
+    set_cpus(monkeypatch, 2)
+    threaded = simulate(cfg, rounds, 5, keep_rounds=True)
+    set_cpus(monkeypatch, 1)
+    serial = simulate(cfg, rounds, 5, keep_rounds=True)
+    assert len(serial.rounds_detail) == rounds
+    assert repr(threaded) == repr(serial)     # repr keeps every float bit
+
+
+def watch_rounds(monkeypatch, fail_on=None):
+    """Record each ``_run_rounds`` call's thread, thread count and round
+    count; a call on ``fail_on`` ("caller" or "worker") raises instead.
+    The caller's rounds wait 10 ms first, so the worker takes one."""
+    caller = threading.current_thread()
+    calls = []
+    run_rounds = sim._run_rounds
+
+    def watched(ctx, seeds, words=None):
+        thread = threading.current_thread()
+        calls.append((thread, threading.active_count(), len(seeds)))
+        if thread is caller:
+            time.sleep(0.01)
+        if fail_on == ("caller" if thread is caller else "worker"):
+            raise RuntimeError(f"{fail_on} round failed")
+        return run_rounds(ctx, seeds, words)
+
+    monkeypatch.setattr(sim, "_run_rounds", watched)
+    return calls
+
+
+def test_threaded_rounds_use_one_worker_and_join_it(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    calls = watch_rounds(monkeypatch)
+    before = threading.active_count()
+    simulate(load_config(THREADED_EDGE), 6, 1)
+    assert len(calls) == 6
+    assert max(count for _, count, _ in calls) == before + 1
+    assert any(thread is not threading.current_thread()
+               for thread, _, _ in calls)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("fail_on", ["worker", "caller"])
+def test_round_exception_propagates_with_worker_joined(monkeypatch, fail_on):
+    set_cpus(monkeypatch, 2)
+    calls = watch_rounds(monkeypatch, fail_on)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{fail_on} round failed"):
+        simulate(load_config(THREADED_EDGE), 200, 1)
+    assert threading.active_count() == before
+    assert len(calls) < 200      # the rounds not yet started were cancelled
+
+
+def test_one_cpu_in_affinity_mask_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 1)
+    calls = watch_rounds(monkeypatch)
+    before = threading.active_count()
+    simulate(load_config(THREADED_EDGE), 3, 1)
+    assert [(thread, count) for thread, count, _ in calls] == [
+        (threading.current_thread(), before)] * 3
+
+
+@pytest.mark.parametrize("spec, blocks", [
+    # K * N = _BLOCK_ELEMENTS / 2: the largest size still run two rounds
+    # to a block
+    ({"device_count": 8, "images_per_device": 1024}, [2, 2, 1]),
+    # the largest below _MIN_THREADED_ROUND
+    ({"device_count": 16, "images_per_device": 1023}, [1] * 5),
+], ids=["blocks-of-two", "below-threaded"])
+def test_rounds_below_the_threaded_size_start_no_thread(monkeypatch, spec,
+                                                        blocks):
+    set_cpus(monkeypatch, 2)
+    calls = watch_rounds(monkeypatch)
+    before = threading.active_count()
+    simulate(load_config(spec), 5, 1)
+    assert [(count, rounds) for _, count, rounds in calls] == [
+        (before, rounds) for rounds in blocks]

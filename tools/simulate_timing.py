@@ -4,7 +4,7 @@ Run from the root of a source checkout, given a second checkout to compare
 against (for example the parent commit, unpacked with ``git archive``)::
 
     python3 tools/simulate_timing.py --parent ../parent --pairs 10 \
-        --out BENCH_14.json
+        --out BENCH_18.json
 
 An interpreter imports ``ecopull`` from its side's ``src/`` and times, each
 as the median of several calls after one warm-up call:
@@ -17,7 +17,11 @@ as the median of several calls after one warm-up call:
   does not; ``parser_all_ms``: ``build_parser()``;
 - ``round_K5_N100_us`` and ``round_K2_N2_us``: ``simulate`` per round, in
   microseconds, at the default K=5, N=100 (4 blocks of 32 rounds) and at
-  K=2, N=2, criterion 2's smallest size (2 blocks of 4096 rounds).
+  K=2, N=2, criterion 2's smallest size (2 blocks of 4096 rounds);
+- ``round_K10_N1000_us``, ``round_K20_N1000_us`` and
+  ``round_K50_N1000_us``: the same over 10 rounds that each run alone,
+  the first below the size that ``simulate`` runs on two threads, the
+  last at the benchmark's ``sim-large`` size.
 
 The pairing and the report are ``tools/paired_timing.py``'s.
 """
@@ -31,7 +35,8 @@ from paired_timing import empty_caches, median_ms, run
 SIMULATE_ARGV = ["simulate", "--rounds", "50", "--seed", "1"]
 SIMULATE_CALLS = 40
 PARSER_CALLS = 100
-ROUND_SIZES = ((5, 100, 128, 9), (2, 2, 8192, 5))  # (K, N, rounds, calls)
+ROUND_SIZES = ((5, 100, 128, 9), (2, 2, 8192, 5), (10, 1000, 10, 21),
+               (20, 1000, 10, 21), (50, 1000, 10, 21))  # (K, N, rounds, calls)
 
 
 def measure() -> dict:
@@ -66,4 +71,4 @@ def measure() -> dict:
 if __name__ == "__main__":
     raise SystemExit(run(__doc__, measure,
                          ("simulate_ms", "round_K5_N100_us",
-                          "round_K2_N2_us")))
+                          "round_K2_N2_us", "round_K50_N1000_us")))
