@@ -10,9 +10,8 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -21,8 +20,9 @@ from .config import (ConfigError, ScenarioConfig, _parse_json,
                      apply_overrides, dump_config, load_config)
 from .energy import (communication_energy, computation_energy,
                      expected_total_energy, p_th)
-from .experiments import (SweepSpec, compare_schemes, optimize,
-                          render_csv, sweep_sifi_vs_rate)
+from .experiments import (CompareRow, GridPoint, SweepRow, SweepSpec,
+                          compare_schemes, grid, optimize, render_csv,
+                          sweep_sifi_vs_rate)
 from .hardware import e_dram_access, e_muac, inference_breakdown
 from .sim import simulate
 from .svgplot import line_chart
@@ -127,20 +127,7 @@ def _parse_grid(text: str, integer: bool = False) -> list:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if not all(map(math.isfinite, (start, stop, step))):
-            raise ConfigError(f"grid {text!r} must have finite "
-                              "start, stop and step")
-        if step <= 0:
-            raise ConfigError(f"grid step must be positive in {text!r}")
-        values = []
-        k = 0
-        while True:
-            value = round(start + k * step, 10)
-            if value > stop + 1e-9:
-                break
-            values.append(value)
-            k += 1
+        values = list(grid(*(float(p) for p in parts)))
     else:
         values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
@@ -152,6 +139,11 @@ def _parse_grid(text: str, integer: bool = False) -> list:
                                   "not an integer")
         values = [int(v) for v in values]
     return values
+
+
+def _records_csv(record: type, rows) -> str:
+    """CSV of ``record`` dataclass rows, one column per field."""
+    return render_csv([f.name for f in fields(record)], map(astuple, rows))
 
 
 def _write(args, filename: str, text: str) -> None:
@@ -227,15 +219,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    grid = tuple(_parse_grid(args.grid))
-    spec = SweepSpec(config=cfg, grid=grid, mode=args.mode,
-                     rounds=args.rounds, samples=args.samples,
-                     seed=args.seed)
+    spec = SweepSpec(config=cfg, grid=tuple(_parse_grid(args.grid)),
+                     mode=args.mode, rounds=args.rounds,
+                     samples=args.samples, seed=args.seed)
     rows = sweep_sifi_vs_rate(spec)
-    header = ["rate", "slots", "sifi_mcmc", "sifi_sim", "sim_stderr",
-              "sifi_exact"]
-    table = [[r.rate, r.slots, r.sifi_mcmc, r.sifi_sim, r.sim_stderr,
-              r.sifi_exact] for r in rows]
     svg = None
     series = []
     if any(r.sifi_mcmc is not None for r in rows):
@@ -250,7 +237,7 @@ def _cmd_sweep(args) -> int:
     if series:
         svg = line_chart(series, title="Retrieval score vs compression rate",
                          x_label="compression rate [bpp]", y_label="score")
-    _emit_chart(args, "sweep_sifi", render_csv(header, table), svg)
+    _emit_chart(args, "sweep_sifi", _records_csv(SweepRow, rows), svg)
     return 0
 
 
@@ -260,38 +247,26 @@ def _cmd_optimize(args) -> int:
                       full_grid=args.full_grid)
     header = ["feasible", "relevance_threshold", "rate", "slots", "sifi",
               "expected_energy", "gamma_th"]
-    if result.feasible:
-        slots = next(p.slots for p in result.grid
-                     if p.relevance_threshold == result.relevance_threshold
-                     and p.rate == result.rate)
-        rows = [[True, result.relevance_threshold, result.rate, slots,
-                 result.sifi, result.energy, result.gamma_th]]
+    best = result.best
+    if best is not None:
+        rows = [[True, best.relevance_threshold, best.rate, best.slots,
+                 best.sifi, best.expected_energy, args.gamma_th]]
     else:
-        rows = [[False, "", "", "", "", "", result.gamma_th]]
+        rows = [[False, "", "", "", "", "", args.gamma_th]]
         print("no grid point satisfies the score constraint",
               file=sys.stderr)
     _write(args, "optimize.csv", render_csv(header, rows))
     if args.full_grid:
-        grid_header = ["relevance_threshold", "rate", "slots", "sifi",
-                       "expected_energy", "feasible"]
-        grid_rows = [[p.relevance_threshold, p.rate, p.slots, p.sifi,
-                      p.energy, p.feasible] for p in result.grid]
-        _write(args, "optimize_grid.csv", render_csv(grid_header, grid_rows))
+        _write(args, "optimize_grid.csv",
+               _records_csv(GridPoint, result.grid))
     return 0
 
 
 def _cmd_compare(args) -> int:
     cfg = _load(args)
     n_grid = _parse_grid(args.n_grid, integer=True)
-    result = compare_schemes(cfg, n_grid, args.gamma_th)
-    header = ["images_per_device", "eta_ecopull", "eta_tinyairnet",
-              "relevance_threshold", "rate", "sifi", "energy_ecopull",
-              "energy_tinyairnet", "energy_baseline", "feasible"]
-    rows = [[r.images_per_device, r.eta_ecopull, r.eta_tinyairnet,
-             r.relevance_threshold, r.rate, r.sifi, r.energy_ecopull,
-             r.energy_tinyairnet, r.energy_baseline, r.feasible]
-            for r in result.rows]
-    feasible = [r for r in result.rows if r.feasible]
+    rows = compare_schemes(cfg, n_grid, args.gamma_th).rows
+    feasible = [r for r in rows if r.feasible]
     svg = None
     if args.format != "csv":
         if not feasible:
@@ -305,7 +280,7 @@ def _cmd_compare(args) -> int:
              ("baseline", ns, [1.0] * len(ns))],
             title="Energy saving vs library size",
             x_label="images per device", y_label="energy ratio")
-    _emit_chart(args, "compare", render_csv(header, rows), svg)
+    _emit_chart(args, "compare", _records_csv(CompareRow, rows), svg)
     return 0
 
 

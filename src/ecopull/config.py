@@ -265,14 +265,15 @@ def _warn_if_penalty_below_distance(penalty: float, rate: float,
 def slots_for_rate(rate: float, slot_coefficient: int) -> int:
     """Slots per frame for a compression rate: ``c_L * ceil(PNG_BPP / rate)``.
 
-    A tiny tolerance absorbs float noise when the ratio is an exact integer.
+    A tiny tolerance absorbs float noise when the ratio is an exact integer;
+    a frame has at least ``c_L`` slots however large the rate.
     """
     if rate <= 0:
         raise ConfigError(f"compression_rate={rate} must be > 0")
     if slot_coefficient < 1:
         raise ConfigError(f"slot_coefficient={slot_coefficient} must be >= 1")
     ratio = PNG_BPP / rate
-    return int(slot_coefficient * math.ceil(ratio - 1e-12))
+    return int(slot_coefficient * max(math.ceil(ratio - 1e-12), 1))
 
 
 @dataclass(frozen=True)
@@ -413,7 +414,13 @@ def _coerce_leaf(name: str, value: Any, target: Any) -> Any:
     if target is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{name}={value!r} must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:           # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{name}={value!r} must be finite")
+        return number
     return value
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "CompareRow",
     "CompareResult",
     "sweep_sifi_vs_rate",
+    "grid",
     "default_vth_grid",
     "default_rate_grid",
     "optimize",
@@ -99,7 +100,7 @@ class GridPoint:
     rate: float
     slots: int
     sifi: float
-    energy: float
+    expected_energy: float
     feasible: bool
 
 
@@ -107,35 +108,37 @@ class GridPoint:
 class OptimizationResult:
     """Outcome of the constrained grid search.
 
+    ``best`` is the optimum, or None when no point meets the score floor.
     ``grid`` holds the scored points in grid order, thresholds outer and
     rates inner: every point under ``optimize(..., full_grid=True)``,
     otherwise those the search did not prune. A pruned point costs more
     than the optimum; with no feasible point nothing is pruned.
     """
 
-    feasible: bool
-    relevance_threshold: Optional[float]
-    rate: Optional[float]
-    energy: Optional[float]
-    sifi: Optional[float]
-    gamma_th: float
-    grid: list[GridPoint] = field(repr=False, default_factory=list)
+    best: Optional[GridPoint]
+    grid: list[GridPoint] = field(repr=False)
+
+
+def grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """``start, start + step, ...`` up to ``stop``, each rounded to 10
+    decimals; a value within 1e-9 past ``stop`` is kept."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError(f"grid {start}:{stop}:{step} must have finite "
+                         "start, stop and step")
+    if step <= 0:
+        raise ValueError(f"grid step {step} must be positive")
+    values = []
+    while (value := round(start + len(values) * step, 10)) <= stop + 1e-9:
+        values.append(value)
+    return tuple(values)
 
 
 def default_vth_grid() -> tuple[float, ...]:
-    return tuple(round(0.50 + 0.01 * i, 10) for i in range(31))
+    return grid(0.50, 0.80, 0.01)
 
 
-def default_rate_grid(step: float = 0.0667) -> tuple[float, ...]:
-    grid = []
-    k = 0
-    while True:
-        value = round(1.0 + step * k, 10)
-        if value > 2.0 + 1e-12:
-            break
-        grid.append(value)
-        k += 1
-    return tuple(grid)
+def default_rate_grid() -> tuple[float, ...]:
+    return grid(1.0, 2.0, 0.0667)
 
 
 def optimize(cfg: ScenarioConfig, gamma_th: float,
@@ -184,7 +187,8 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     # the key compares energy first, so a point dearer than the best
     # feasible one can never win
     for i in sorted(range(len(vth_grid)), key=cheapest.__getitem__):
-        bound = math.inf if full_grid or best is None else best.energy
+        bound = (math.inf if full_grid or best is None
+                 else best.expected_energy)
         if cheapest[i] > bound:
             break
         columns = [j for j, energy in enumerate(energy_rows[i])
@@ -196,23 +200,16 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
             rate, energy = rate_grid[j], energy_rows[i][j]
             feasible = sifi >= gamma_th
             point = GridPoint(relevance_threshold=vth, rate=rate,
-                              slots=slot_grid[j], sifi=sifi, energy=energy,
-                              feasible=feasible)
+                              slots=slot_grid[j], sifi=sifi,
+                              expected_energy=energy, feasible=feasible)
             scored[i].append(point)
             if feasible:
                 key = (energy, -sifi, rate, vth)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = point
-    points = [point for row in scored for point in row]
-    if best is None:
-        return OptimizationResult(feasible=False, relevance_threshold=None,
-                                  rate=None, energy=None, sifi=None,
-                                  gamma_th=gamma_th, grid=points)
-    return OptimizationResult(feasible=True,
-                              relevance_threshold=best.relevance_threshold,
-                              rate=best.rate, energy=best.energy,
-                              sifi=best.sifi, gamma_th=gamma_th, grid=points)
+    return OptimizationResult(
+        best=best, grid=[point for row in scored for point in row])
 
 
 @dataclass(frozen=True)
@@ -232,7 +229,6 @@ class CompareRow:
 @dataclass(frozen=True)
 class CompareResult:
     rows: list[CompareRow]
-    gamma_th: float
 
 
 def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
@@ -251,9 +247,9 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
     rows = []
     for n in n_grid:
         base_cfg = replace(cfg, images_per_device=int(n))
-        result = optimize(base_cfg, gamma_th, vth_grid=vth_grid,
-                          rate_grid=rate_grid)
-        if not result.feasible:
+        best = optimize(base_cfg, gamma_th, vth_grid=vth_grid,
+                        rate_grid=rate_grid).best
+        if best is None:
             rows.append(CompareRow(
                 images_per_device=int(n), eta_ecopull=math.nan,
                 eta_tinyairnet=math.nan, relevance_threshold=None,
@@ -262,17 +258,17 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
                 energy_baseline=baseline_energy(base_cfg),
                 feasible=False))
             continue
-        eco = result.energy
+        eco = best.expected_energy
         tiny = tinyairnet_energy(base_cfg)
         base = baseline_energy(base_cfg)
         rows.append(CompareRow(
             images_per_device=int(n),
             eta_ecopull=energy_saving_ratio(eco, base),
             eta_tinyairnet=energy_saving_ratio(tiny, base),
-            relevance_threshold=result.relevance_threshold,
-            rate=result.rate, sifi=result.sifi, energy_ecopull=eco,
+            relevance_threshold=best.relevance_threshold,
+            rate=best.rate, sifi=best.sifi, energy_ecopull=eco,
             energy_tinyairnet=tiny, energy_baseline=base, feasible=True))
-    return CompareResult(rows=rows, gamma_th=gamma_th)
+    return CompareResult(rows=rows)
 
 
 # --- CSV rendering -----------------------------------------------------------
@@ -291,7 +287,7 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Deterministic CSV text with a mandatory header row."""
     lines = [",".join(header)]
     for row in rows:

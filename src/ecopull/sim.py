@@ -189,10 +189,14 @@ def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray
     The active transmissions' codes ``cell << bits | device`` are sorted,
     so a transmission is alone when neither sorted neighbour has its cell.
     Memory grows with the transmissions, not with the slot count; the codes
-    stay below ``2 * rounds * frames * devices * L``.
+    stay below ``(rounds * frames * L) << bits``, which must fit in int64.
     """
     rounds, devices, frames = slots.shape
     bits = max(devices - 1, 1).bit_length()
+    if (rounds * frames * slot_count) << bits >= 1 << 63:
+        raise ValueError(
+            f"{rounds} rounds of {frames} frames of {slot_count} slots for "
+            f"{devices} devices need collision codes of 2^63 or more")
     cell_base = (np.arange(rounds)[:, None, None] * frames
                  + np.arange(frames)) * slot_count
     codes = ((slots + cell_base) << bits) | np.arange(devices)[:, None]
@@ -542,6 +546,13 @@ def _map_on_two_threads(fn, items: Sequence) -> Iterator:
     as soon as it and those before it are done. An exception in either
     thread stops both after their current call; it propagates once the
     worker is joined.
+
+    This is not ``ThreadPoolExecutor.map``: two pool workers with the
+    caller waiting, at most three calls submitted, were slower on a 2-core
+    host (30 alternating calls per size, this function first): K=50,
+    N=1000 took 20.5 against 22.0 ms, K=20, N=1000 11.5 against 13.7 ms
+    and K=16, N=1024 19.9 against 22.5 ms. ``Executor.map`` also submits
+    every call at once, holding about 1.85 KB per round.
     """
     import threading
     from concurrent.futures import ThreadPoolExecutor

@@ -219,6 +219,18 @@ def test_set_switches_truth_kind_then_sets_its_parameters(tmp_path, capsys):
     assert load_config(out).truth_distribution == BetaTruth(2.0, 5.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--mode", "exact", "--set", "compression_rate=1e13"],
+    ["sweep-sifi", "--grid", "1,1e13", "--mode", "exact"],
+])
+def test_huge_rates_keep_the_minimum_frame(capsys, argv):
+    # a frame of L = 0 slots once raised ZeroDivisionError here
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 0 and err == ""
+    if argv[0] == "sweep-sifi":
+        assert out.splitlines()[-1].startswith("1e+13,5,")
+
+
 def test_config_errors_exit_code(capsys):
     rc, _, err = run_cli(capsys, "print-config", "--set",
                          "relevance_threshold=2.0")
@@ -239,6 +251,9 @@ def test_config_errors_exit_code(capsys):
     ["expected-energy", "--vth-grid", "0.5:0.8:nan"],
     ["expected-energy", "--vth-grid", "0.5:inf:0.1"],
     ["compare", "--n-grid", "5:inf:5"],
+    # non-finite config numbers once gave a score of 0 or NaN energies
+    ["analyze", "--mode", "exact", "--set", "model_noise=1e400"],
+    ["energy-breakdown", "--set", "radio.tx_power=1e400"],
     # the closed form runs no chain
     ["analyze", "--mode", "exact", "--trace"],
     ["analyze", "--mode", "exact", "--burn-in", "50"],
@@ -392,6 +407,15 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
       "--set", "device_count=5", "--set", "images_per_device=6"],
      {"simulate.csv": ("be0c894060c347a6110ce5d03605de85"
                        "b32a27cb8d7832d3fad35f5f245f39ad")}),
+    # the score over the default rate grid, in closed form
+    (["sweep-sifi", "--grid", "1.0:4.8:0.1", "--mode", "exact"],
+     {"sweep_sifi.csv": ("c3869cb2e09b6b1413044e310bf1aece"
+                         "cfcf70f6bf68a854456a516f12f92581")}),
+    # the chain, the simulator and the empty exact column in one table
+    (["sweep-sifi", "--grid", "1.0,2.0", "--mode", "both", "--rounds", "50",
+      "--samples", "500", "--seed", "3"],
+     {"sweep_sifi.csv": ("2b375326a2504f55e951ae378fe43850"
+                         "1dc6e42f578b9f10497328265645f816")}),
 ])
 def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
     # the chain digests were recorded when it read the log-gamma law of

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,11 +170,32 @@ def test_non_finite_beta_shape_rejected(alpha):
                                             "beta": 2.0}})
 
 
+@pytest.mark.parametrize("spec, name", [
+    ({"model_noise": math.inf}, "model_noise"),
+    ({"penalty": -math.inf}, "penalty"),
+    ({"compression_rate": math.nan}, "compression_rate"),
+    ({"compression_rate": 10 ** 400}, "compression_rate"),
+    ({"radio": {"tx_power": math.inf}}, "radio.tx_power"),
+    ({"truth_distribution": {"kind": "beta", "alpha": 2, "beta": 10 ** 400}},
+     "truth_distribution.beta"),
+    ('{"model_noise": Infinity}', "model_noise"),
+], ids=["inf", "-inf", "nan", "huge-int", "nested", "truth", "json"])
+def test_non_finite_numbers_rejected(spec, name):
+    # an infinite noise once scored 0, and an infinite power made NaN
+    # energies, without an error
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(name)}=.* must be finite$"):
+        load_config(spec)
+
+
 def test_slot_resolution():
     assert slots_for_rate(1.2, 5) == 25
     assert slots_for_rate(4.86, 5) == 5
     assert slots_for_rate(2.5, 2) == 4
     assert slots_for_rate(2.43, 5) == 10  # exact integer ratio
+    # a ratio under the integer tolerance once gave L = 0
+    for rate in (4.86e12, 1e13, 1e300, math.inf):
+        assert slots_for_rate(rate, 5) == 5
     cfg = load_config({"slots_per_frame": 7, "slot_coefficient": None})
     assert cfg.frame_slots() == 7
     derived = load_config({"compression_rate": 1.2})

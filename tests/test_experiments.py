@@ -112,7 +112,7 @@ def test_grid_points_equal_single_point_evaluation():
         single = replace(cfg, relevance_threshold=point.relevance_threshold,
                          compression_rate=point.rate)
         assert point.sifi == expected_sifi_exact(single)
-        assert point.energy == expected_total_energy(single)
+        assert point.expected_energy == expected_total_energy(single)
         assert point.slots == single.frame_slots()
 
 
@@ -138,8 +138,9 @@ def test_pruned_search_matches_the_full_grid(spec):
                 if (p.relevance_threshold, p.rate) in kept]
             missing = [p for p in full.grid
                        if (p.relevance_threshold, p.rate) not in kept]
-            if full.feasible:
-                assert all(p.energy > full.energy for p in missing)
+            if full.best is not None:
+                assert all(p.expected_energy > full.best.expected_energy
+                           for p in missing)
             else:
                 assert missing == []
 
@@ -157,13 +158,13 @@ def test_optimum_meets_floor_exactly():
     # at N=55 a 10k-step chain scored (0.72, 1.2001) at 0.800053, over the
     # floor, while its exact score is 0.799722
     cfg = load_config({"images_per_device": 55})
-    result = optimize(cfg, 0.8)
-    assert result.feasible
-    chosen = replace(cfg, relevance_threshold=result.relevance_threshold,
-                     compression_rate=result.rate)
+    best = optimize(cfg, 0.8).best
+    assert best is not None
+    chosen = replace(cfg, relevance_threshold=best.relevance_threshold,
+                     compression_rate=best.rate)
     exact = expected_sifi_exact(chosen)
     assert exact >= 0.8
-    assert result.sifi == exact
+    assert best.sifi == exact
 
 
 def test_compare_output_does_not_depend_on_seed(tmp_path):
@@ -180,40 +181,40 @@ def test_optimize_unconstrained_returns_energy_minimum():
     cfg = load_config({"images_per_device": 12})
     result = optimize(cfg, 0.0, vth_grid=(0.5, 0.6, 0.7),
                       rate_grid=(1.0, 1.5))
-    assert result.feasible
-    energies = [p.energy for p in result.grid]
-    assert result.energy == min(energies)
+    best = result.best
+    assert best is not None
+    energies = [p.expected_energy for p in result.grid]
+    assert best.expected_energy == min(energies)
     # the score floor is vacuous, so the cheapest point wins outright
-    assert result.relevance_threshold == 0.7
-    assert result.rate == 1.0
+    assert best.relevance_threshold == 0.7
+    assert best.rate == 1.0
 
 
 def test_optimize_impossible_floor_reports_infeasible():
     cfg = load_config({"images_per_device": 12})
     result = optimize(cfg, 1.0, vth_grid=(0.5, 0.6), rate_grid=(1.0,))
-    assert not result.feasible
-    assert result.energy is None and result.rate is None
+    assert result.best is None
     assert len(result.grid) == 2
 
 
 def test_optimize_result_is_rederivable():
     cfg = load_config({"images_per_device": 40})
-    result = optimize(cfg, 0.8, vth_grid=(0.55, 0.65, 0.75),
-                      rate_grid=(1.0, 1.3, 1.6))
-    assert result.feasible
-    chosen = replace(cfg, relevance_threshold=result.relevance_threshold,
-                     compression_rate=result.rate)
+    best = optimize(cfg, 0.8, vth_grid=(0.55, 0.65, 0.75),
+                    rate_grid=(1.0, 1.3, 1.6)).best
+    assert best is not None
+    chosen = replace(cfg, relevance_threshold=best.relevance_threshold,
+                     compression_rate=best.rate)
     assert expected_total_energy(chosen) == pytest.approx(
-        result.energy, rel=1e-12)
-    assert result.sifi >= 0.8
+        best.expected_energy, rel=1e-12)
+    assert best.sifi >= 0.8
 
 
 def test_optimize_tie_break_prefers_small_rate_then_threshold():
     cfg = load_config({"images_per_device": 8})
-    result = optimize(cfg, 0.0, vth_grid=(0.6, 0.7), rate_grid=(1.0, 1.2))
+    best = optimize(cfg, 0.0, vth_grid=(0.6, 0.7), rate_grid=(1.0, 1.2)).best
     # energy rises with rate and falls with threshold, so the winner is the
     # highest threshold at the smallest rate
-    assert (result.relevance_threshold, result.rate) == (0.7, 1.0)
+    assert (best.relevance_threshold, best.rate) == (0.7, 1.0)
 
 
 def test_optimize_warns_on_grid_rates_below_the_penalty():

@@ -527,3 +527,17 @@ def test_rounds_below_the_threaded_size_start_no_thread(monkeypatch, spec,
     simulate(load_config(spec), 5, 1)
     assert [(count, rounds) for _, count, rounds in calls] == [
         (before, rounds) for rounds in blocks]
+
+
+def test_collision_codes_that_overflow_int64_are_rejected():
+    # 2^60 slots once wrapped the codes, delivering 10 of 197 images
+    # where collisions are all but impossible
+    wide = {"slot_coefficient": None, "slots_per_frame": 2 ** 40}
+    out = run_round(load_config(wide), (1, 0))
+    # every queue drains, so every relevant image is attempted
+    assert out.delivered_count == out.relevant_counts.sum() == 197
+    huge = load_config({**wide, "slots_per_frame": 2 ** 60})
+    with pytest.raises(ValueError, match=r"2\^63"):
+        run_round(huge, (1, 0))
+    with pytest.raises(ValueError, match=r"2\^63"):
+        simulate(huge, 20, 1)
