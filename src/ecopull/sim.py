@@ -14,6 +14,17 @@ the same probability model as the Q-function analysis.
 Rounds are simulated in blocks. Each round still draws from its own
 generator, in the order of a one-round call; everything after the draws
 runs once per block, so a block's rounds equal one-round calls bit for bit.
+A device's queue order is the order of its images' ``random()`` keys;
+the keys are drawn as the raw 64-bit words ``random()`` would map to
+doubles, and queued by one integer sort of codes that pack each key's
+drawn bits with its image index (see ``_queue_order``).
+
+Each thread running a ``simulate`` call's blocks keeps one set of
+round-sized arrays (``_RoundBuffers``) for the whole call and runs every
+block on leading views of it, so its rounds do not each allocate, and
+fault in, their own draw, sort and slot arrays. The set is freed when the
+call returns; ``run_round`` makes a set of its own, so its outcome
+aliases nothing.
 
 A round of at least ``_MIN_THREADED_ROUND`` images is a block of its
 own, and most of its time is numpy work that releases the GIL. When the
@@ -27,14 +38,14 @@ would. ``default_rng`` hashes the pair with ``SeedSequence`` and seeds
 PCG64 from four 64-bit words. For a block of at least
 ``_MIN_HASHED_BLOCK`` rounds, ``simulate`` computes that hash in uint32
 numpy for the whole block, finishes PCG64's seeding in Python ints and
-sets the state of one reused generator per round. After its other draws
-a round takes raw 64-bit draws enough for its longest possible horizon;
-its slots are Lemire's multiply-shift (D. Lemire, "Fast Random Integer
-Generation in an Interval", ACM TOMACS 2019) on their 32-bit halves, low
-half first, as ``Generator.integers`` maps them. A round with a used
-draw that numpy might reject runs again on ``default_rng``; so do whole
-blocks when the seed is not one 32-bit word or ``L >= 2**32``, smaller
-blocks, and ``run_round``.
+sets the state of one reused generator per round. A round takes its
+queue keys and raw 64-bit draws enough for its longest possible horizon
+in one ``random_raw`` call; its slots are Lemire's multiply-shift
+(D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS
+2019) on their 32-bit halves, low half first, as ``Generator.integers``
+maps them. A round with a used draw that numpy might reject runs again
+on ``default_rng``; so do whole blocks when the seed is not one 32-bit
+word or ``L >= 2**32``, smaller blocks, and ``run_round``.
 """
 
 from __future__ import annotations
@@ -77,7 +88,11 @@ _MIN_HASHED_BLOCK = 16
 # thread and one worker thread, when the process may use two CPUs. On a
 # 2-core host smaller rounds lost up to 17% (K * N = 9000 to 12000) to the
 # threads' contention for the GIL, and every shape tried from here up
-# gained 4% to 39%.
+# gained 4% to 39%. Timed again once rounds reused their buffers and
+# stopped faulting pages in (10-round calls, alternating, three runs of
+# 30-40 pairs per shape): K * N = 9000 to 14000 was slower or level on
+# two threads in 13 of 17 shape runs, by up to 59%, and faster in the other
+# 4, by up to 19%; 16000 to 20000 was faster in all 9, by 0.6% to 18%.
 _MIN_THREADED_ROUND = 2 ** 14
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +162,12 @@ class _Context:
         self.sigma = cfg.model_noise
         self.slots = cfg.frame_slots()
         self.fixed_frames = cfg.fixed_frames
+        # the longest horizon a round can have
+        self.max_frames = (self.images if self.fixed_frames is None
+                           else min(self.images, self.fixed_frames))
+        # raw 64-bit words holding a round's slot draws at that horizon,
+        # two 32-bit draws to a word
+        self.slot_words = (self.devices * self.max_frames + 1) // 2
         self.kd = fidelity_distance(cfg.compression_rate)
         self.gamma = cfg.penalty
         self.truth = cfg.truth_distribution
@@ -163,44 +184,73 @@ def _row_starts(shape: tuple) -> np.ndarray:
     return np.arange(0, math.prod(shape), width).reshape(*shape[:-1], 1)
 
 
+# Generator.random() maps a raw 64-bit word to (raw >> 11) * 2**-53, so
+# the low _IMAGE_BITS bits of a queue key never order it: up to
+# _PACKED_IMAGES images, a key's image index fits in their place.
+_IMAGE_BITS = 11
+_PACKED_IMAGES = 1 << _IMAGE_BITS
+_IMAGE_MASK = np.uint64(_PACKED_IMAGES - 1)
+
+
 def _queue_order(keys: np.ndarray, relevant: np.ndarray,
                  head: int) -> np.ndarray:
     """First ``head`` images of every queue, in the order they are sent.
 
-    A device sends its relevant images in increasing order of ``keys``,
+    ``keys`` holds each image's raw 64-bit queue draw, and is overwritten.
+    A device sends its relevant images in increasing order of
+    ``raw >> 11``, the order of the ``random()`` values those words make,
     the lower image index first on an exact tie, as a stable sort would.
-    Irrelevant keys are set to 2.0 in place, above every key drawn in
-    ``[0, 1)``, so each row sorts its queue first. One unstable sort serves
-    every block whose queues hold no tie in or at the edge of the head; a
-    block with one is sorted again stably.
+
+    Up to ``_PACKED_IMAGES`` images per device, each key becomes the code
+    ``raw & ~0x7FF | image`` and each irrelevant one ``2**64 - 1``, above
+    every relevant code but one that decodes alike; one in-place sort then
+    leaves every queue, in order, in the low bits of its row's first codes.
+    Equal draws order by image index, so no tie needs a second sort.
+    Larger libraries take a stable ``argsort`` of ``raw >> 11``.
     """
-    np.putmask(keys, ~relevant, 2.0)
-    order = np.argsort(keys, axis=-1)
-    ranked = keys.take(order[..., :head + 1] + _row_starts(keys.shape))
-    if np.any((ranked[..., 1:] == ranked[..., :-1]) & (ranked[..., 1:] < 2.0)):
-        order = np.argsort(keys, axis=-1, kind="stable")
-    return order[..., :head]
+    # 0 for a relevant image, 2**64 - 1 (the difference wraps) for the
+    # others: an OR with it is a masked store without a branch per image
+    last = np.subtract(relevant, np.uint64(1), dtype=np.uint64)
+    if keys.shape[-1] <= _PACKED_IMAGES:
+        keys &= ~_IMAGE_MASK
+        keys |= np.arange(keys.shape[-1], dtype=np.uint64)
+        keys |= last
+        keys.sort(axis=-1)
+        return (keys[..., :head] & _IMAGE_MASK).view(np.int64)
+    keys >>= np.uint64(_IMAGE_BITS)
+    keys |= last
+    return np.argsort(keys, axis=-1, kind="stable")[..., :head]
 
 
 def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray:
     """Flat indices into ``slots[round, device, frame]`` of the active
     transmissions that are the only one in their (round, frame, slot) cell.
 
-    The active transmissions' codes ``cell << bits | device`` are sorted,
-    so a transmission is alone when neither sorted neighbour has its cell.
-    Memory grows with the transmissions, not with the slot count; the codes
-    stay below ``(rounds * frames * L) << bits``, which must fit in int64.
+    ``slots`` is overwritten with the codes ``cell << bits | device``. The
+    active transmissions' codes are sorted, so a transmission is alone when
+    neither sorted neighbour has its cell. Memory grows with the
+    transmissions, not with the slot count. The codes stay below
+    ``(rounds * frames * L) << bits``; when that reaches 2^63, each round's
+    cells are coded and sorted apart, and only a round whose own codes
+    reach 2^63 is rejected.
     """
     rounds, devices, frames = slots.shape
     bits = max(devices - 1, 1).bit_length()
-    if (rounds * frames * slot_count) << bits >= 1 << 63:
+    if (frames * slot_count) << bits >= 1 << 63:
         raise ValueError(
-            f"{rounds} rounds of {frames} frames of {slot_count} slots for "
-            f"{devices} devices need collision codes of 2^63 or more")
-    cell_base = (np.arange(rounds)[:, None, None] * frames
-                 + np.arange(frames)) * slot_count
-    codes = ((slots + cell_base) << bits) | np.arange(devices)[:, None]
-    codes = np.sort(codes[active])
+            f"a round of {frames} frames of {slot_count} slots for "
+            f"{devices} devices needs collision codes of 2^63 or more")
+    if (rounds * frames * slot_count) << bits >= 1 << 63:
+        # round b's flat indices follow the rounds before it
+        return np.concatenate([
+            _alone(slots[b:b + 1], active[b:b + 1], slot_count)
+            + b * devices * frames for b in range(rounds)])
+    slots += (np.arange(rounds)[:, None, None] * frames
+              + np.arange(frames)) * slot_count
+    slots <<= bits
+    slots |= np.arange(devices)[:, None]
+    codes = slots[active]
+    codes.sort()
     cells = codes >> bits
     repeat = cells[1:] == cells[:-1]
     lone = np.ones(len(codes), dtype=bool)
@@ -231,6 +281,29 @@ class _Rounds:
     mean_energy: np.ndarray          # (B,) J
     delivered_counts: np.ndarray     # (B,)
     actual_counts: np.ndarray        # (B,)
+
+
+class _RoundBuffers:
+    """Round-sized arrays that one thread reuses for every block it runs.
+
+    Each is flat and sized for a block of ``rounds`` rounds at the longest
+    horizon; a block takes leading views (``_lead``), so a shorter block
+    or horizon touches only the pages it uses.
+    """
+
+    def __init__(self, ctx: _Context, rounds: int):
+        images = rounds * ctx.devices * ctx.images
+        self.beta = np.empty(images)
+        self.observed = np.empty(images)
+        # each round's queue keys, then, on the hashed path, its slot words
+        self.raw = np.empty(images + rounds * ctx.slot_words, dtype=np.uint64)
+        self.slots = np.empty(rounds * ctx.devices * ctx.max_frames,
+                              dtype=np.int64)
+
+
+def _lead(array: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first ``prod(shape)`` elements of flat ``array``, as ``shape``."""
+    return array[:math.prod(shape)].reshape(shape)
 
 
 _MASK32 = 0xFFFF_FFFF
@@ -308,14 +381,19 @@ def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int,
 
 
 def _draw(ctx: _Context, rng: np.random.Generator, beta: np.ndarray,
-          observed: np.ndarray, keys: np.ndarray) -> None:
-    """A round's draws before its slots, in order and in place: the true
-    similarities, the score noise (``observed`` gets their sum) and the
-    queue-order keys.
+          observed: np.ndarray, raw: np.ndarray) -> None:
+    """A round's draws, in order and in place: the true similarities, the
+    score noise (``observed`` gets their sum) and, in one ``random_raw``
+    call, the raw 64-bit words that fill ``raw``: the queue-order keys, one
+    per image, then, on the hashed path, the words its slots are made from.
 
     ``sigma * z + beta`` equals ``normal(0.0, sigma) + beta``: numpy's
     ``normal`` returns ``0.0 + sigma * z``, which differs from ``sigma * z``
     only at -0.0, and adding ``beta >= 0`` maps both zeros alike.
+
+    The keys are the words ``random()`` would take and map to
+    ``(raw >> 11) * 2**-53``, so the stream advances as if it had, and
+    ``_queue_order`` sorts the words as integers.
     """
     if type(ctx.truth) is UniformTruth:
         rng.random(out=beta)
@@ -324,7 +402,7 @@ def _draw(ctx: _Context, rng: np.random.Generator, beta: np.ndarray,
     rng.standard_normal(out=observed)
     observed *= ctx.sigma
     observed += beta
-    rng.random(out=keys)
+    raw[...] = rng.bit_generator.random_raw(raw.shape)
 
 
 def _lemire_slots(raw: np.ndarray, horizons: np.ndarray, devices: int,
@@ -352,41 +430,42 @@ def _lemire_slots(raw: np.ndarray, horizons: np.ndarray, devices: int,
 
 
 def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
-                words: Optional[np.ndarray] = None) -> _Rounds:
+                words: Optional[np.ndarray],
+                buffers: _RoundBuffers) -> _Rounds:
     """Simulate one round per seed, round ``b`` as on ``default_rng(seeds[b])``.
 
     Each round draws, in order, the true similarities, the score noise, the
     queue-order keys and then one slot per device and frame of its
-    horizon. Everything after the draws runs once for the block.
+    horizon. Everything after the draws runs once for the block, on
+    leading views of ``buffers``, which hold enough rounds for the block;
+    the returned similarities are views of them.
     With ``words``, ``_seed_words`` of the seeds, the rounds run on one
     reused generator and take their slots from raw draws; a round whose
     draws numpy might reject runs again on ``default_rng``.
     """
     rounds = len(seeds)
-    shape = (ctx.devices, ctx.images)
-    beta = np.empty((rounds, *shape))
-    observed = np.empty((rounds, *shape))
-    keys = np.empty((rounds, *shape))
+    images = ctx.devices * ctx.images
+    shape = (rounds, ctx.devices, ctx.images)
+    beta = _lead(buffers.beta, shape)
+    observed = _lead(buffers.observed, shape)
     pending = []    # (round, generator) pairs whose slots integers() draws
     if words is None:
+        keys = _lead(buffers.raw, shape)
         for b, seed in enumerate(seeds):
             rng = np.random.default_rng(seed)
             _draw(ctx, rng, beta[b], observed[b], keys[b])
             pending.append((b, rng))
     else:
-        # enough raw draws for the longest horizon a round can have; a
-        # round's generator is discarded after its slots, so the surplus
-        # changes nothing
-        frames = ctx.images if ctx.fixed_frames is None else min(
-            ctx.images, ctx.fixed_frames)
-        raw = np.empty((rounds, (ctx.devices * frames + 1) // 2),
-                       dtype=np.uint64)
+        # each round's keys, then raw draws enough for the longest horizon
+        # a round can have; a round's generator is discarded after its
+        # slots, so the surplus changes nothing
+        raw = _lead(buffers.raw, (rounds, images + ctx.slot_words))
+        keys = raw[:, :images].reshape(shape)
         rng = np.random.Generator(np.random.PCG64(0))
         bit_generator = rng.bit_generator
         for b, seed_words in enumerate(zip(*words.tolist())):
             bit_generator.state = _pcg64_state(*seed_words)
-            _draw(ctx, rng, beta[b], observed[b], keys[b])
-            raw[b] = bit_generator.random_raw(raw.shape[1])
+            _draw(ctx, rng, beta[b], observed[b], raw[b])
     relevant = observed >= ctx.vth
     rel_counts = np.count_nonzero(relevant, axis=2)
 
@@ -399,10 +478,12 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
     delivered = np.zeros_like(relevant)
     if head > 0:
         if words is None:
-            slots = np.zeros((rounds, ctx.devices, head), dtype=np.int64)
+            # frames past a round's horizon keep stale values, which no
+            # active transmission reads
+            slots = _lead(buffers.slots, (rounds, ctx.devices, head))
         else:
-            slots, rejected = _lemire_slots(raw, horizons, ctx.devices,
-                                            head, ctx.slots)
+            slots, rejected = _lemire_slots(raw[:, images:], horizons,
+                                            ctx.devices, head, ctx.slots)
             for b in np.flatnonzero(rejected).tolist():
                 rng = np.random.default_rng(seeds[b])
                 _draw(ctx, rng, beta[b], observed[b], keys[b])
@@ -413,7 +494,8 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
                 slots[b, :, :horizon] = rng.integers(
                     0, ctx.slots, size=(ctx.devices, horizon))
         active = np.arange(head) < attempted[..., None]
-        sent = _queue_order(keys, relevant, head) + _row_starts(keys.shape)
+        sent = _queue_order(keys, relevant, head)
+        sent += _row_starts(keys.shape)
         delivered.reshape(-1)[sent.take(_alone(slots, active, ctx.slots))] = True
 
     actual = beta >= ctx.delta
@@ -441,7 +523,8 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
 
 def run_round(cfg: ScenarioConfig, seed: SeedLike) -> RoundOutcome:
     """Simulate one round on ``default_rng(seed)``."""
-    out = _run_rounds(_Context(cfg), [seed])
+    ctx = _Context(cfg)
+    out = _run_rounds(ctx, [seed], None, _RoundBuffers(ctx, 1))
     return RoundOutcome(
         true_similarity=out.true_similarity[0],
         observed_similarity=out.observed_similarity[0],
@@ -490,19 +573,22 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     blocks = [range(start, min(start + block, rounds))
               for start in range(0, rounds, block)]
 
-    def block_values(indices: range) -> tuple:
+    def block_values(indices: range, buffers: _RoundBuffers) -> tuple:
         # only these per-round values outlive the block's arrays
         out = _run_rounds(ctx, [(seed, index) for index in indices],
-                          _seed_words(seed, indices) if hashed else None)
+                          _seed_words(seed, indices) if hashed else None,
+                          buffers)
         return (indices, out.sifi.tolist(), out.mean_energy.tolist(),
                 out.delivered_counts.tolist(), out.actual_counts.tolist(),
                 out.frames.tolist())
 
     if (rounds > 1 and ctx.devices * ctx.images >= _MIN_THREADED_ROUND
             and _usable_cpus() > 1):
-        values = _map_on_two_threads(block_values, blocks)
+        values = _map_on_two_threads(
+            block_values, blocks, lambda: _RoundBuffers(ctx, block))
     else:
-        values = map(block_values, blocks)
+        buffers = _RoundBuffers(ctx, block)
+        values = (block_values(indices, buffers) for indices in blocks)
     for indices, sifis, energies, delivered, omegas, frames in values:
         for sifi, energy in zip(sifis, energies):
             sifi_sum += sifi
@@ -538,9 +624,10 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_on_two_threads(fn, items: Sequence) -> Iterator:
-    """``map(fn, items)``, with the calling thread and one worker thread each
-    calling ``fn`` on the next item neither has taken.
+def _map_on_two_threads(fn, items: Sequence, make_state) -> Iterator:
+    """``fn(item, state)`` for each of ``items``, with the calling thread and
+    one worker thread each calling ``fn`` on the next item neither has
+    taken, and passing its own ``state = make_state()``.
 
     At most two calls run at once. Results are yielded in item order, each
     as soon as it and those before it are done. An exception in either
@@ -572,8 +659,9 @@ def _map_on_two_threads(fn, items: Sequence) -> Iterator:
 
     def work() -> None:
         try:
+            state = make_state()
             while (index := take()) is not None:
-                done[index] = fn(items[index])
+                done[index] = fn(items[index], state)
         except BaseException:
             cancel()
             raise
@@ -582,8 +670,9 @@ def _map_on_two_threads(fn, items: Sequence) -> Iterator:
         worker = pool.submit(work)
         try:
             following = 0
+            state = make_state()
             while (index := take()) is not None:
-                done[index] = fn(items[index])
+                done[index] = fn(items[index], state)
                 while following in done:
                     yield done.pop(following)
                     following += 1

@@ -1,6 +1,7 @@
 import hashlib
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -248,6 +249,9 @@ BLOCK_CONFIGS = {
                       "relevance_threshold": 0.0, "model_noise": 1e-12,
                       "slots_per_frame": 10 ** 6, "slot_coefficient": None},
     "empty-queues": {"relevance_threshold": 1.0, "model_noise": 1e-12},
+    # collision codes of a block of 32 rounds pass 2^63, one round's do not
+    "slots-at-2**50": {"slots_per_frame": 2 ** 50, "slot_coefficient": None},
+    "argsort-queues": {"device_count": 2, "images_per_device": 2049},
 }
 
 
@@ -288,16 +292,27 @@ def test_empty_queues_send_nothing():
 @pytest.mark.parametrize("head", [1, 7, 25, 40])
 def test_queue_order_breaks_exact_ties_by_image_index(head):
     rng = np.random.default_rng(8)
-    keys = rng.integers(0, 4, size=(3, 4, 40)) / 4.0    # many exact ties
-    relevant = rng.random(keys.shape) < 0.7
-    relevant[0, 0] = True                                # a full queue
-    expected = np.argsort(np.where(relevant, keys, 2.0), axis=-1,
-                          kind="stable")[..., :head]
-    got = sim._queue_order(keys.copy(), relevant, head)
-    # past the end of its queue a row holds irrelevant images, never sent
-    queued = np.arange(head) < relevant.sum(axis=-1)[..., None]
-    np.testing.assert_array_equal(np.where(queued, got, -1),
-                                  np.where(queued, expected, -1))
+    # 2048 images is the last size whose index packs into a key's unused
+    # bits; 2049 takes the stable argsort
+    for images in (40, 2048, 2049):
+        shape = (3, 4, images)
+        # many exact ties in the 53 bits random() keeps, the highest among
+        # them, with low bits that must not break them
+        tops = np.array([0, 1 << 62, 3 << 62, (1 << 64) - (1 << 11)],
+                        dtype=np.uint64)
+        keys = tops[rng.integers(0, 4, size=shape)] | rng.integers(
+            0, 1 << 11, size=shape, dtype=np.uint64)
+        relevant = rng.random(shape) < 0.7
+        relevant[0, 0] = True                            # a full queue
+        drawn = (keys >> np.uint64(11)) * 2.0 ** -53     # random()'s values
+        expected = np.argsort(np.where(relevant, drawn, 2.0), axis=-1,
+                              kind="stable")[..., :head]
+        got = sim._queue_order(keys.copy(), relevant, head)
+        # past the end of its queue a row holds irrelevant images, never
+        # sent
+        queued = np.arange(head) < relevant.sum(axis=-1)[..., None]
+        np.testing.assert_array_equal(np.where(queued, got, -1),
+                                      np.where(queued, expected, -1))
 
 
 def test_per_round_csv_bytes_are_fixed(tmp_path):
@@ -416,15 +431,39 @@ def test_in_place_draws_equal_fresh_draws(spec):
     ctx = sim._Context(cfg)
     shape = (3, 40)
     for seed in range(60):
-        got = [np.empty(shape) for _ in range(3)]
-        sim._draw(ctx, np.random.default_rng(seed), *got)
+        beta, observed = np.empty(shape), np.empty(shape)
+        # the hashed path's row: the keys, then 7 slot words
+        raw = np.empty(120 + 7 if seed % 2 else shape, dtype=np.uint64)
+        sim._draw(ctx, np.random.default_rng(seed), beta, observed, raw)
+        keys = raw.reshape(-1)[:120].reshape(shape)
         rng = np.random.default_rng(seed)
-        beta = cfg.truth_distribution.sample(rng, shape)
-        expected = [beta, rng.normal(0.0, cfg.model_noise, shape) + beta,
-                    rng.random(shape)]
-        for drawn, fresh in zip(got, expected):
-            np.testing.assert_array_equal(drawn.view(np.uint64),
-                                          fresh.view(np.uint64))
+        fresh = cfg.truth_distribution.sample(rng, shape)
+        np.testing.assert_array_equal(beta.view(np.uint64),
+                                      fresh.view(np.uint64))
+        fresh = rng.normal(0.0, cfg.model_noise, shape) + fresh
+        np.testing.assert_array_equal(observed.view(np.uint64),
+                                      fresh.view(np.uint64))
+        # the raw words random() would have mapped to the same doubles
+        fresh = rng.random(shape)
+        np.testing.assert_array_equal(
+            ((keys >> np.uint64(11)) * 2.0 ** -53).view(np.uint64),
+            fresh.view(np.uint64))
+        if seed % 2:
+            np.testing.assert_array_equal(
+                raw[120:], rng.bit_generator.random_raw(7))
+
+
+def test_round_outcomes_do_not_share_arrays():
+    cfg = load_config({})
+    first = run_round(cfg, 1)
+    kept = {name: getattr(first, name).copy() for name in (
+        "true_similarity", "observed_similarity", "relevant", "actual",
+        "delivered")}
+    second = run_round(cfg, 2)
+    for name, array in kept.items():
+        np.testing.assert_array_equal(getattr(first, name), array)
+        assert not np.shares_memory(getattr(first, name),
+                                    getattr(second, name))
 
 
 # Given two CPUs, simulate runs rounds of at least _MIN_THREADED_ROUND
@@ -457,6 +496,52 @@ def test_threaded_rounds_equal_serial_rounds(monkeypatch, spec, rounds):
     assert repr(threaded) == repr(serial)     # repr keeps every float bit
 
 
+# Every size on two threads, so that each thread runs blocks of many
+# rounds, the shorter last one included, on its one set of buffers.
+TWO_THREAD_BLOCKS = {
+    "hashed": {},
+    "fixed-frames": BLOCK_CONFIGS["fixed-frames"],
+    "beta-truth": BLOCK_CONFIGS["beta-truth"],
+    "argsort-queues": BLOCK_CONFIGS["argsort-queues"],
+    "rejected-draws": SEEDING_CASES["rejected-draws"][0],
+}
+
+
+@pytest.mark.parametrize("spec", TWO_THREAD_BLOCKS.values(),
+                         ids=TWO_THREAD_BLOCKS)
+def test_blocks_on_two_threads_equal_serial_blocks(monkeypatch, spec):
+    cfg = load_config(spec)
+    block = sim._BLOCK_ELEMENTS // (cfg.device_count * cfg.images_per_device)
+    rounds = 3 * block + 2
+    monkeypatch.setattr(sim, "_MIN_THREADED_ROUND", 1)
+    set_cpus(monkeypatch, 2)
+    threaded = simulate(cfg, rounds, 5, keep_rounds=True)
+    set_cpus(monkeypatch, 1)
+    serial = simulate(cfg, rounds, 5, keep_rounds=True)
+    assert repr(threaded) == repr(serial)
+
+
+@pytest.mark.parametrize("spec, cpus, sets", [
+    (THREADED_EDGE, 2, 2),
+    (THREADED_EDGE, 1, 1),
+    ({}, 2, 1),                 # blocks of 32 rounds and one of 4
+], ids=["two-threads", "one-cpu", "serial-blocks"])
+def test_each_thread_reuses_one_set_of_buffers(monkeypatch, spec, cpus,
+                                               sets):
+    made = []
+
+    class Watched(sim._RoundBuffers):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(sim, "_RoundBuffers", Watched)
+    set_cpus(monkeypatch, cpus)
+    simulate(load_config(spec), 100, 1)
+    assert len(made) == sets
+    assert all(ref() is None for ref in made)     # none outlives the call
+
+
 def watch_rounds(monkeypatch, fail_on=None):
     """Record each ``_run_rounds`` call's thread, thread count and round
     count; a call on ``fail_on`` ("caller" or "worker") raises instead.
@@ -465,14 +550,14 @@ def watch_rounds(monkeypatch, fail_on=None):
     calls = []
     run_rounds = sim._run_rounds
 
-    def watched(ctx, seeds, words=None):
+    def watched(ctx, seeds, words, buffers):
         thread = threading.current_thread()
         calls.append((thread, threading.active_count(), len(seeds)))
         if thread is caller:
             time.sleep(0.01)
         if fail_on == ("caller" if thread is caller else "worker"):
             raise RuntimeError(f"{fail_on} round failed")
-        return run_rounds(ctx, seeds, words)
+        return run_rounds(ctx, seeds, words, buffers)
 
     monkeypatch.setattr(sim, "_run_rounds", watched)
     return calls

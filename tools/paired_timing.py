@@ -2,7 +2,8 @@
 
 A harness script defines ``measure()``, which times this interpreter's
 ``ecopull`` and returns one value per metric, in ms or, for a name ending
-in ``_us``, in microseconds, and calls
+in ``_us``, in microseconds, or, for a name ending in ``_faults``, in page
+faults per round, and calls
 ``run(doc, measure, progress)`` under its ``__main__`` check. Run from the
 root of a source checkout, the harness then takes a second checkout to
 compare against (for example the parent commit, unpacked with
@@ -62,6 +63,13 @@ def _run_side(script: Path, checkout: Path) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def _unit(name: str) -> str:
+    for suffix, unit in (("_us", "us"), ("_faults", "faults/round")):
+        if name.endswith(suffix):
+            return unit
+    return "ms"
+
+
 def _summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -106,7 +114,7 @@ def run(doc: str, measure, progress) -> int:
         parent = [run[name] for run in runs["parent"]]
         change = [run[name] for run in runs["change"]]
         metrics[name] = {
-            "unit": "us" if name.endswith("_us") else "ms",
+            "unit": _unit(name),
             "parent": _summary(parent),
             "change": _summary(change),
             "change_wins": sum(c < p for p, c in zip(parent, change)),

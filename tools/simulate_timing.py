@@ -4,7 +4,7 @@ Run from the root of a source checkout, given a second checkout to compare
 against (for example the parent commit, unpacked with ``git archive``)::
 
     python3 tools/simulate_timing.py --parent ../parent --pairs 10 \
-        --out BENCH_18.json
+        --out BENCH_20.json
 
 An interpreter imports ``ecopull`` from its side's ``src/`` and times, each
 as the median of several calls after one warm-up call:
@@ -21,7 +21,10 @@ as the median of several calls after one warm-up call:
 - ``round_K10_N1000_us``, ``round_K20_N1000_us`` and
   ``round_K50_N1000_us``: the same over 10 rounds that each run alone,
   the first below the size that ``simulate`` runs on two threads, the
-  last at the benchmark's ``sim-large`` size.
+  last at the benchmark's ``sim-large`` size;
+- ``round_K5_N100_faults`` and the like: the minor page faults
+  (``getrusage``'s ``ru_minflt``) per round over each size's calls and
+  their warm-up call.
 
 The pairing and the report are ``tools/paired_timing.py``'s.
 """
@@ -29,6 +32,7 @@ The pairing and the report are ``tools/paired_timing.py``'s.
 import contextlib
 import inspect
 import io
+import resource
 
 from paired_timing import empty_caches, median_ms, run
 
@@ -37,6 +41,10 @@ SIMULATE_CALLS = 40
 PARSER_CALLS = 100
 ROUND_SIZES = ((5, 100, 128, 9), (2, 2, 8192, 5), (10, 1000, 10, 21),
                (20, 1000, 10, 21), (50, 1000, 10, 21))  # (K, N, rounds, calls)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def measure() -> dict:
@@ -63,12 +71,17 @@ def measure() -> dict:
     for devices, images, rounds, calls in ROUND_SIZES:
         cfg = load_config({"device_count": devices,
                            "images_per_device": images})
-        result[f"round_K{devices}_N{images}_us"] = median_ms(
+        name = f"round_K{devices}_N{images}"
+        faults = _minor_faults()
+        result[f"{name}_us"] = median_ms(
             lambda: simulate(cfg, rounds, 3), calls) / rounds * 1e3
+        result[f"{name}_faults"] = ((_minor_faults() - faults)
+                                    / ((calls + 1) * rounds))
     return result
 
 
 if __name__ == "__main__":
     raise SystemExit(run(__doc__, measure,
                          ("simulate_ms", "round_K5_N100_us",
-                          "round_K2_N2_us", "round_K50_N1000_us")))
+                          "round_K2_N2_us", "round_K50_N1000_us",
+                          "round_K50_N1000_faults")))
