@@ -2,7 +2,10 @@
 
 Neither ``scipy.stats`` nor ``scipy.special`` is imported with this
 module: together they cost more than the rest of the package's import.
-Each function returns the values for every load ``k = 0..n`` at once.
+Each function returns the values for every load ``k = 0..n`` at once,
+and for an array of ``p`` one such row per ``p``: a grid over thresholds
+reads one law with a row per pass probability. Each row is bitwise the
+call with its ``p`` alone, whatever the other rows hold.
 
 :func:`saddle_logpmf` is Loader's saddle-point method (C. Loader, "Fast and
 Accurate Computation of Binomial Probabilities", 2000; R's ``dbinom``) in
@@ -60,12 +63,23 @@ def _stirlerr(n: int) -> np.ndarray:
     return np.concatenate((_STIRLERR[1:n + 1], series))
 
 
-def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
-    """Deviance ``x log(x/mean) + mean - x`` for ``x, mean > 0``.
+def _series_terms(largest: float) -> int:
+    # the least t >= 1 with largest^t <= 2^-56
+    terms = 1
+    while largest ** terms > _SERIES_EPS:
+        terms += 1
+    return terms
+
+
+def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Deviance ``x log(x/mean) + mean - x`` for ``x, mean > 0``: one row
+    per entry of the column ``mean``.
 
     Near ``x = mean`` the direct form cancels; there it is the series
     ``(x - mean) v + 2 x sum_j v^(2j+1) / (2j+1)`` in
-    ``v = (x - mean) / (x + mean)``, summed by Horner's rule.
+    ``v = (x - mean) / (x + mean)``, summed by Horner's rule. Each row
+    takes the terms its own largest near ``v^2`` needs, so no row depends
+    on the others; the rows that take the same count share one recurrence.
     """
     diff = x - mean
     direct = x * np.log(x / mean) - diff
@@ -74,47 +88,92 @@ def _bd0(x: np.ndarray, mean: float) -> np.ndarray:
     if not near.any():
         return direct
     v2 = v * v
-    largest = float(v2[near].max())
-    terms = 1
-    while largest ** terms > _SERIES_EPS:
-        terms += 1
-    acc = 1.0 / (2 * terms + 1)
-    for j in range(terms - 1, 0, -1):
-        acc = 1.0 / (2 * j + 1) + v2 * acc
+    counts = [_series_terms(value) for value
+              in v2.max(axis=1, where=near, initial=0.0).tolist()]
+    groups = set(counts)
+    if len(groups) == 1:
+        acc = _horner(v2, counts[0])
+    else:
+        acc = np.empty_like(v2)
+        for terms in groups:
+            rows = np.equal(counts, terms)
+            acc[rows] = _horner(v2[rows], terms)
     series = diff * v + 2.0 * x * v * (v2 * acc)
     return np.where(near, series, direct)
 
 
-def saddle_logpmf(n: int, p: float) -> np.ndarray:
+def _horner(v2: np.ndarray, terms: int):
+    # sum_{j<terms} v^(2j) / (2j+3), the series' factor after its first term
+    acc = 1.0 / (2 * terms + 1)
+    for j in range(terms - 1, 0, -1):
+        acc = 1.0 / (2 * j + 1) + v2 * acc
+    return acc
+
+
+# rows of the law are computed this many entries at a time, which bounds
+# the temporaries at any library size
+_LAW_BLOCK = 1 << 16
+
+
+def saddle_logpmf(n: int, p) -> np.ndarray:
     """``log P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point
-    method; ``-inf`` only where the probability is exactly zero."""
+    method; ``-inf`` only where the probability is exactly zero.
+
+    ``p`` may be a 1-D array: the result then has one row per entry, and
+    each row is bitwise the call with that entry alone.
+    """
+    probabilities = np.asarray(p, dtype=float)
+    rows = probabilities.reshape(-1)
+    log_p = np.empty((len(rows), n + 1))
+    block = max(1, _LAW_BLOCK // (n + 1))
+    for start in range(0, len(rows), block):
+        _fill_logpmf(n, rows[start:start + block],
+                     log_p[start:start + block])
+    return log_p if probabilities.ndim else log_p[0]
+
+
+def _fill_logpmf(n: int, rows: np.ndarray, log_p: np.ndarray) -> None:
+    # one row of the law per entry of rows, into log_p
+    probabilities = rows.tolist()
+    # no trial, or a sure outcome: all the mass on one load
+    degenerate = [row for row, p in enumerate(probabilities)
+                  if n == 0 or p == 0.0 or p == 1.0]
+    if len(degenerate) < len(rows):
+        # a degenerate row is computed at p = 1/2, then overwritten
+        _fill_regular(n, np.where((rows == 0.0) | (rows == 1.0), 0.5, rows)
+                      if degenerate else rows, log_p)
+    for row in degenerate:
+        log_p[row] = -math.inf
+        log_p[row, n if probabilities[row] == 1.0 else 0] = 0.0
+
+
+def _fill_regular(n: int, p: np.ndarray, log_p: np.ndarray) -> None:
+    # the law for n >= 1 and every p in (0, 1)
     q = 1.0 - p
-    log_p = np.full(n + 1, -math.inf)
-    if n == 0 or p == 0.0:
-        log_p[0] = 0.0
-        return log_p
-    if q == 0.0:
-        log_p[n] = 0.0
-        return log_p
     up = np.arange(1, n + 1, dtype=float)
-    # dev_p[k-1] = bd0(k, np) and dev_q[k] = bd0(n-k, nq), for k = 1..n and
-    # k = 0..n-1: the end points' terms come with the interior's
-    dev_p = _bd0(up, n * p)
-    dev_q = _bd0(up[::-1], n * q)
-    log_p[0] = -dev_q[0] - n * p if p < 0.1 else n * math.log(q)
-    log_p[n] = -dev_p[-1] - n * q if q < 0.1 else n * math.log(p)
+    # dev_p[:, k-1] = bd0(k, np) and dev_q[:, k] = bd0(n-k, nq), for
+    # k = 1..n and k = 0..n-1: the end points' terms come with the interior's
+    dev_p = _bd0(up, (n * p)[:, None])
+    dev_q = _bd0(up[::-1], (n * q)[:, None])
+    for row, (p_row, q_row, first, last) in enumerate(zip(
+            p.tolist(), q.tolist(), dev_q[:, 0].tolist(),
+            dev_p[:, -1].tolist())):
+        log_p[row, 0] = (-first - n * p_row if p_row < 0.1
+                         else n * math.log(q_row))
+        log_p[row, n] = (-last - n * q_row if q_row < 0.1
+                         else n * math.log(p_row))
     if n > 1:
         x = up[:-1]
         stirlerr = _stirlerr(n)
         inner = stirlerr[:-1]
         # stirlerr(n - x) is stirlerr(x) reversed
         lc = (stirlerr[-1] - inner - inner[::-1]
-              - dev_p[:-1] - dev_q[1:])
+              - dev_p[:, :-1] - dev_q[:, 1:])
         lf = _LOG_2PI + np.log(x * (n - x) / n)
-        log_p[1:n] = lc - 0.5 * lf
-    return log_p
+        log_p[:, 1:n] = lc - 0.5 * lf
 
 
-def pmf(n: int, p: float) -> np.ndarray:
-    """``P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point method."""
+def pmf(n: int, p) -> np.ndarray:
+    """``P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point
+    method, one row per entry of an array ``p``."""
     return np.exp(saddle_logpmf(n, p))

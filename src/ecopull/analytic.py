@@ -53,7 +53,11 @@ bins empty or fill), so its stationary law is the multinomial;
 stationary law is not.
 
 Both evaluators read one binomial law, ``_binomial.saddle_logpmf``, and
-the filtered masses of ``energy``; the package loads no scipy.
+the filtered masses of ``energy``; the package loads no scipy. The law is
+batched over ``p``: :class:`ScoreRows` scores a grid of thresholds one
+row at a time, each row reading its own row of one law computed for all
+the thresholds' pass probabilities, and :func:`expected_sifi_over_rates`
+is its one-row case.
 """
 
 from __future__ import annotations
@@ -76,6 +80,7 @@ __all__ = [
     "score_terms",
     "expected_sifi_exact",
     "expected_sifi_over_rates",
+    "ScoreRows",
     "mcmc_expected_sifi",
     "ChainResult",
     "run_chain",
@@ -96,22 +101,35 @@ def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
     return 1.0 - (1.0 - pdelta) ** images
 
 
-def _relevance(cfg: ScenarioConfig) -> Optional[tuple[float, ...]]:
-    """``(p_delta, P(Omega > 0), detect, offset)`` of ``cfg``, or None when
-    no image can be actually relevant.
-
-    ``detect`` is the joint probability that an image is actually relevant
-    and passes the filter; ``offset`` the score of a round that delivers
-    nothing.
+def _relevance(cfg: ScenarioConfig) -> Optional[tuple[float, float, float]]:
+    """``(p_delta, P(Omega > 0), offset)`` of ``cfg``, or None when no
+    image can be actually relevant; ``offset`` is the score of a round
+    that delivers nothing. None of them depends on the relevance
+    threshold.
     """
     pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
     if pdelta <= 0.0:
         return None
     p_omega = omega_nonempty_probability(cfg)
-    detect = _filtered_mass(cfg.relevance_threshold, cfg.model_noise,
-                            cfg.truth_distribution, cfg.truth_threshold)
     offset = p_omega * (1.0 - cfg.penalty) + (1.0 - p_omega)
-    return pdelta, p_omega, detect, offset
+    return pdelta, p_omega, offset
+
+
+def _detected_mass(cfg: ScenarioConfig, relevance_threshold: float) -> float:
+    # the joint probability that an image is actually relevant and passes
+    # the filter at relevance_threshold
+    return _filtered_mass(relevance_threshold, cfg.model_noise,
+                          cfg.truth_distribution, cfg.truth_threshold)
+
+
+def _relevance_given_filter(pdelta: float, detect: float,
+                            pass_probability: float) -> tuple[float, float]:
+    # (alpha_r, alpha_n) of score_terms
+    alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
+    alpha_n = ((pdelta - detect) / (1.0 - pass_probability)
+               if pass_probability < 1.0 else 0.0)
+    # rounding in the masses must not push either probability out of [0, 1]
+    return min(max(alpha_r, 0.0), 1.0), min(max(alpha_n, 0.0), 1.0)
 
 
 def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
@@ -126,7 +144,8 @@ def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     relevance = _relevance(cfg)
     if relevance is None:
         return 1.0, 0.0
-    pdelta, p_omega, detect, offset = relevance
+    pdelta, p_omega, offset = relevance
+    detect = _detected_mass(cfg, cfg.relevance_threshold)
     kd = fidelity_distance(cfg.compression_rate)
     slope = p_omega * (cfg.penalty - kd) * detect / pdelta
     return offset, slope
@@ -145,14 +164,12 @@ def score_terms(cfg: ScenarioConfig,
     relevance = _relevance(cfg)
     if relevance is None:
         return 1.0, 0.0, 0.0, 0.0
-    pdelta, _, detect, offset = relevance
+    pdelta, _, offset = relevance
     gain = cfg.penalty - fidelity_distance(cfg.compression_rate)
-    alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
-    alpha_n = ((pdelta - detect) / (1.0 - pass_probability)
-               if pass_probability < 1.0 else 0.0)
-    # rounding in the masses must not push either probability out of [0, 1]
-    return (offset, gain, min(max(alpha_r, 0.0), 1.0),
-            min(max(alpha_n, 0.0), 1.0))
+    alpha_r, alpha_n = _relevance_given_filter(
+        pdelta, _detected_mass(cfg, cfg.relevance_threshold),
+        pass_probability)
+    return offset, gain, alpha_r, alpha_n
 
 
 # --- exact per-round delivered fraction -------------------------------------
@@ -179,6 +196,9 @@ _LOAD_BLOCK = 64  # G is evaluated for this many consecutive loads at once
 _FIRST_PANEL = 8.0
 _TAIL_CUT = 48.0
 _PANEL_ORDER = 12  # Gauss-Legendre nodes per panel
+# the slot counts' stacked (count, node, frame) arrays hold at most this
+# many entries, unless one count's (node, frame) array alone holds more
+_STACK_BLOCK = 1 << 18
 
 
 def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +220,8 @@ def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
 def _mean_fractions(device_count: int, images_per_device: int,
                     slot_counts: Sequence[int], pass_probability: float,
                     alpha_r: float, alpha_n: float,
-                    frames: Optional[int] = None) -> dict[int, float]:
+                    frames: Optional[int] = None,
+                    log_law: Optional[np.ndarray] = None) -> dict[int, float]:
     """E[f] over the load distribution for each slot count, by the closed
     form (module docstring), with the tagged device's frames capped at
     ``frames`` when given.
@@ -210,7 +231,10 @@ def _mean_fractions(device_count: int, images_per_device: int,
     total ``A``, so its prefix and suffix sums are plain ``cumsum``s in
     [0, 1]; the scale ``A^K / x_r`` goes back in at the end. Only
     ``M_nu`` and the sum over frames depend on the slot count, so
-    everything else is computed once for all of ``slot_counts``.
+    everything else is computed once for all of ``slot_counts``, and the
+    slot counts are stacked along a leading axis, ``_STACK_BLOCK`` entries
+    at a time. ``log_law`` is ``saddle_logpmf(N, pass_probability)`` when
+    the caller has it.
     """
     images = images_per_device
     pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
@@ -222,11 +246,13 @@ def _mean_fractions(device_count: int, images_per_device: int,
     # log P(c) in the saddle-point form: within 1e-14 in the bulk, which
     # the power K-1 below amplifies, and finite in the tails where pmf
     # underflows
-    log_p = saddle_logpmf(images, pass_probability)
-    # log of P(c) x_r^c x_n^(N-c)
-    log_y = log_p + loads * log_xr + (images - loads) * log_xn
-    top = log_y.max(axis=1, keepdims=True)
-    y = np.exp(log_y - top)
+    if log_law is None:
+        log_law = saddle_logpmf(images, pass_probability)
+    # log of P(c) x_r^c x_n^(N-c), exponentiated in place
+    y = log_law + loads * log_xr + (images - loads) * log_xn
+    top = y.max(axis=1, keepdims=True)
+    y -= top
+    np.exp(y, out=y)
     total = y.sum(axis=1, keepdims=True)
     y /= total
     # a cap F drops the frames past F and nothing else (module docstring)
@@ -236,23 +262,38 @@ def _mean_fractions(device_count: int, images_per_device: int,
     # even at b = 0 (one slot)
     above = np.cumsum(y[:, :0:-1], axis=1)[:, ::-1][:, :horizon]
     below = np.cumsum(y[:, :horizon], axis=1)
+    del y  # at large N each (node, load) array is tens of MB
     # log(A^K / x_r)
     scale = device_count * (top + np.log(total)) - log_xr
     with np.errstate(divide="ignore"):
         log_above = np.log(above)
-        fractions = {}
-        for slots in slot_counts:
-            # log S_nu M_nu^(K-1), up to the scale; one device: S_nu
-            terms = log_above
+    slot_counts = list(slot_counts)
+    block = max(1, _STACK_BLOCK // log_above.size)
+    fractions = {}
+    for start in range(0, len(slot_counts), block):
+        counts = slot_counts[start:start + block]
+        with np.errstate(divide="ignore"):
+            # log S_nu M_nu^(K-1), up to the scale, one slot count per
+            # leading index, built in place in one stacked array
             if device_count > 1:
-                terms = terms + (device_count - 1) * np.log(
-                    below + (1.0 - 1.0 / slots) * above)
-            peak = terms.max(axis=1, keepdims=True)
+                keep = np.array([1.0 - 1.0 / slots for slots in counts])
+                terms = keep[:, None, None] * above
+                terms += below
+                np.log(terms, out=terms)
+                terms *= device_count - 1
+                terms += log_above
+            else:  # one device: S_nu alone
+                terms = log_above[None].copy()
+            peak = terms.max(axis=2, keepdims=True)
             peak[peak == -math.inf] = 0.0  # a row of zeros stays zero
-            log_sum = np.log(np.exp(terms - peak).sum(axis=1, keepdims=True))
-            integrand = np.exp(scale + peak + log_sum)[:, 0]
-            fractions[slots] = (device_count * alpha_r
-                                * float(integrand @ weights))
+            terms -= peak
+            np.exp(terms, out=terms)
+            log_sum = np.log(terms.sum(axis=2, keepdims=True))
+            integrand = np.exp(scale + peak + log_sum)[..., 0]
+        if device_count == 1:  # nothing collides: one row serves every count
+            integrand = integrand.repeat(len(counts), axis=0)
+        for slots, row in zip(counts, integrand):
+            fractions[slots] = device_count * alpha_r * float(row @ weights)
     return fractions
 
 
@@ -312,31 +353,61 @@ def _frame_deliveries(counts: Sequence[int], occupied: list[int],
     return total
 
 
-def expected_sifi_over_rates(cfg: ScenarioConfig,
-                             rates: Sequence[float]) -> list[float]:
-    """Expected score of ``cfg`` at each compression rate of ``rates``.
+class ScoreRows:
+    """Expected scores of one scenario over a grid of thresholds and
+    rates, taken one threshold row at a time.
 
-    The closed form (module docstring) with the rate-independent work done
-    once: the pass probability and the score terms for the whole call,
-    the quadrature and the sums over loads once per distinct slot count,
-    and only the gain ``gamma - k_d(r)`` per rate. Each value is bitwise
-    :func:`expected_sifi_exact` of ``cfg`` at that rate.
+    The closed form (module docstring), with each piece computed at the
+    level where it varies: ``p_delta``, ``P(Omega > 0)`` and the offset
+    once for the scenario, the gain ``gamma - k_d(r)`` and the slot count
+    once per rate, and per row only the detected mass, ``(alpha_r,
+    alpha_n)`` and the closed form's quadrature and sums over loads, once
+    per distinct slot count of the row. The relevance threshold of
+    ``cfg`` itself is not read. Each value is bitwise
+    :func:`expected_sifi_exact` of ``cfg`` at that threshold and rate.
     ``cfg.fixed_frames`` caps the frames of every device.
     """
+
+    def __init__(self, cfg: ScenarioConfig, rates: Sequence[float]):
+        self.cfg = cfg
+        self.relevance = _relevance(cfg)
+        self.gains = [cfg.penalty - fidelity_distance(rate) for rate in rates]
+        self.slots = [cfg.frame_slots(rate) for rate in rates]
+
+    def row(self, relevance_threshold: float, pass_probability: float,
+            columns: Sequence[int],
+            log_law: Optional[np.ndarray] = None) -> list[float]:
+        """Scores at ``relevance_threshold``, whose ``p_th`` is
+        ``pass_probability``, for the rates at ``columns``; ``log_law`` is
+        ``saddle_logpmf(N, pass_probability)`` when the caller has it."""
+        if self.relevance is None:
+            return [1.0] * len(columns)
+        cfg = self.cfg
+        pdelta, _, offset = self.relevance
+        alpha_r, alpha_n = _relevance_given_filter(
+            pdelta, _detected_mass(cfg, relevance_threshold),
+            pass_probability)
+        gains = [self.gains[j] for j in columns]
+        slots = [self.slots[j] for j in columns]
+        scored = sorted({count for count, gain in zip(slots, gains)
+                         if gain * alpha_r != 0.0})
+        fractions = (_mean_fractions(cfg.device_count, cfg.images_per_device,
+                                     scored, pass_probability, alpha_r,
+                                     alpha_n, cfg.fixed_frames, log_law)
+                     if scored else {})
+        return [offset if gain * alpha_r == 0.0
+                else offset + gain * fractions[count]
+                for gain, count in zip(gains, slots)]
+
+
+def expected_sifi_over_rates(cfg: ScenarioConfig,
+                             rates: Sequence[float]) -> list[float]:
+    """Expected score of ``cfg`` at each compression rate of ``rates``: the
+    one-row case of :class:`ScoreRows`."""
     pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                cfg.truth_distribution)
-    offset, _, alpha_r, alpha_n = score_terms(cfg, pth)
-    gains = [cfg.penalty - fidelity_distance(rate) for rate in rates]
-    slots = [cfg.frame_slots(rate) for rate in rates]
-    scored = sorted({count for count, gain in zip(slots, gains)
-                     if gain * alpha_r != 0.0})
-    fractions = (_mean_fractions(cfg.device_count, cfg.images_per_device,
-                                 scored, pth, alpha_r, alpha_n,
-                                 cfg.fixed_frames)
-                 if scored else {})
-    return [offset if gain * alpha_r == 0.0
-            else offset + gain * fractions[count]
-            for gain, count in zip(gains, slots)]
+    return ScoreRows(cfg, rates).row(cfg.relevance_threshold, pth,
+                                     range(len(rates)))
 
 
 def expected_sifi_exact(cfg: ScenarioConfig) -> float:

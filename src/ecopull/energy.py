@@ -28,7 +28,7 @@ __all__ = [
     "per_relevant_image_energy",
     "p_th",
     "expected_total_energy",
-    "expected_energy_over_rates",
+    "expected_energy_grid",
 ]
 
 
@@ -233,45 +233,60 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
 
 
 def _capped_mean(images_per_device: int, pass_probability: float,
-                 frames: int) -> float:
+                 frames: int, log_law: Optional[np.ndarray] = None) -> float:
     # E[min(c, F)] for c ~ Bin(N, p), as F - sum_{c<F} (F - c) P(c): only
-    # loads below the cap send fewer than F images
+    # loads below the cap send fewer than F images. log_law is the law's
+    # row, saddle_logpmf(N, p), when the caller has it.
     if frames >= images_per_device:
         return images_per_device * pass_probability
-    pmf = _binomial.pmf(images_per_device, pass_probability)[:frames]
+    if log_law is None:
+        log_law = _binomial.saddle_logpmf(images_per_device, pass_probability)
+    pmf = np.exp(log_law[:frames])
     return frames - float(np.dot(frames - np.arange(frames), pmf))
 
 
-def expected_energy_over_rates(cfg: ScenarioConfig,
-                               rates: Sequence[float]) -> list[float]:
-    """Closed-form expected per-device energy of ``cfg`` at each rate.
+def expected_energy_grid(cfg: ScenarioConfig,
+                         pass_probabilities: Sequence[float],
+                         rates: Sequence[float],
+                         log_law: Optional[np.ndarray] = None
+                         ) -> list[list[float]]:
+    """Closed-form expected per-device energy of ``cfg``: one row per pass
+    probability (``p_th`` of a threshold) and one column per rate.
 
-    The pass probability, the fixed overhead and the compression energy
-    are computed once; only the uplink packet depends on the rate. Each
-    value is bitwise :func:`expected_total_energy` of ``cfg`` at that
-    rate.
+    The fixed overhead, the compression energy and each rate's uplink
+    packet are computed once; a row takes only its pass probability and,
+    under ``fixed_frames``, its mean sent count. ``log_law`` holds
+    ``saddle_logpmf(N, pass_probabilities)`` when the caller has it;
+    otherwise a capped row computes its own. Each value is bitwise
+    :func:`expected_total_energy` of ``cfg`` at that threshold and rate.
 
     A device compresses all ``c ~ Bin(N, p_th)`` of its passed images but,
     under ``fixed_frames`` ``F``, sends one per frame, ``min(c, F)`` in
     all, as the simulator does.
     """
-    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
     overhead = fixed_overhead_energy(cfg)
     compress = _compression_energy(cfg)
+    uplinks = np.array([_uplink_energy(cfg, rate) for rate in rates])
     n = cfg.images_per_device
-    if cfg.fixed_frames is None:
-        return [n * pth * (compress + _uplink_energy(cfg, rate)) + overhead
-                for rate in rates]
-    sent = _capped_mean(n, pth, cfg.fixed_frames)
-    return [n * pth * compress + sent * _uplink_energy(cfg, rate) + overhead
-            for rate in rates]
+    loads = n * np.array(pass_probabilities, dtype=float)
+    frames = cfg.fixed_frames
+    if frames is None:
+        energies = np.multiply.outer(loads, compress + uplinks) + overhead
+    else:
+        sent = [_capped_mean(n, pth, frames,
+                             None if log_law is None else log_law[row])
+                for row, pth in enumerate(pass_probabilities)]
+        energies = ((loads * compress)[:, None]
+                    + np.multiply.outer(sent, uplinks) + overhead)
+    return energies.tolist()
 
 
 def expected_total_energy(cfg: ScenarioConfig) -> float:
     """Expected per-device energy for one query, in joules.
 
-    The one-rate case of :func:`expected_energy_over_rates`. The energy is
+    The one-point case of :func:`expected_energy_grid`. The energy is
     affine in the compressed count ``c`` and the sent count ``min(c, F)``,
     so its mean is that affine form at their means.
     """
-    return expected_energy_over_rates(cfg, (cfg.compression_rate,))[0]
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise, cfg.truth_distribution)
+    return expected_energy_grid(cfg, (pth,), (cfg.compression_rate,))[0][0]

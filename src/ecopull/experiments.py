@@ -5,7 +5,9 @@ The grid search scores points with the closed form
 and argmin carry no sampling noise and depend on no seed. It scores only
 the points that are no dearer than the best feasible one found so far, and
 all scored rates of one threshold in one call, which shares the
-threshold's quadratures and sums over loads between them. Rate sweeps in
+threshold's quadratures and sums over loads between them. The thresholds
+share one binomial law and the energy's and score's per-size constants;
+no config is built per threshold. Rate sweeps in
 ``mcmc`` mode run one Metropolis chain per grid point with the sweep's
 seed.
 """
@@ -18,10 +20,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .analytic import expected_sifi_over_rates, mcmc_expected_sifi
+from ._binomial import saddle_logpmf
+from .analytic import ScoreRows, expected_sifi_over_rates, mcmc_expected_sifi
 from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import ScenarioConfig, _warn_if_penalty_below_distance
-from .energy import expected_energy_over_rates
+from .energy import expected_energy_grid, p_th
 from .sim import simulate
 
 __all__ = [
@@ -148,8 +151,9 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
              full_grid: bool = False) -> OptimizationResult:
     """Minimum expected energy over (threshold, rate) subject to a score floor.
 
-    Every point's energy is taken first, one threshold at a time, and is
-    bitwise ``expected_total_energy`` of the config at that point.
+    Every point's energy is taken first, one threshold row at a time
+    (:func:`~ecopull.energy.expected_energy_grid`), and is bitwise
+    ``expected_total_energy`` of the config at that point.
     Scoring is a branch and bound on those energies: thresholds are
     visited cheapest point first, a rate is scored only while its energy is
     at most the best feasible energy found so far (every rate is scored
@@ -175,11 +179,14 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
         _warn_if_penalty_below_distance(cfg.penalty, min(rate_grid),
                                         stacklevel=3)
 
-    slot_grid = [cfg.frame_slots(rate) for rate in rate_grid]
-    threshold_cfgs = [replace(cfg, relevance_threshold=vth)
-                      for vth in vth_grid]
-    energy_rows = [expected_energy_over_rates(threshold_cfg, rate_grid)
-                   for threshold_cfg in threshold_cfgs]
+    # no config per threshold: the thresholds share one binomial law, the
+    # energy's per-size constants and the score's (ScoreRows)
+    pass_probabilities = [p_th(vth, cfg.model_noise, cfg.truth_distribution)
+                          for vth in vth_grid]
+    log_law = saddle_logpmf(cfg.images_per_device, pass_probabilities)
+    energy_rows = expected_energy_grid(cfg, pass_probabilities, rate_grid,
+                                       log_law)
+    score_rows = ScoreRows(cfg, rate_grid)
     cheapest = [min(row, default=math.inf) for row in energy_rows]
     scored: list[list[GridPoint]] = [[] for _ in vth_grid]
     best: Optional[GridPoint] = None
@@ -193,14 +200,14 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
             break
         columns = [j for j, energy in enumerate(energy_rows[i])
                    if energy <= bound]
-        scores = expected_sifi_over_rates(
-            threshold_cfgs[i], [rate_grid[j] for j in columns])
         vth = vth_grid[i]
+        scores = score_rows.row(vth, pass_probabilities[i], columns,
+                                log_law[i])
         for j, sifi in zip(columns, scores):
             rate, energy = rate_grid[j], energy_rows[i][j]
             feasible = sifi >= gamma_th
             point = GridPoint(relevance_threshold=vth, rate=rate,
-                              slots=slot_grid[j], sifi=sifi,
+                              slots=score_rows.slots[j], sifi=sifi,
                               expected_energy=energy, feasible=feasible)
             scored[i].append(point)
             if feasible:

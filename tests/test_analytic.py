@@ -311,24 +311,34 @@ def test_panel_rule_stops_where_the_tail_is_negligible(lam):
         assert len(nodes) <= 4 * analytic._PANEL_ORDER
 
 
-def test_closed_form_memory_stays_bounded_at_huge_libraries(tmp_path):
-    # a fresh interpreter, so its peak RSS is this run's alone; each of the
-    # rule's rows holds O(N), so the row count sets the peak
-    code = (
-        "import resource, sys\n"
-        "import ecopull.cli\n"
-        "assert ecopull.cli.main(['analyze', '--mode', 'exact', '--set',\n"
-        "    'images_per_device=40000', '--out', sys.argv[1]]) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+def _peak_rss_kb(argv: list, out_dir) -> int:
+    # a fresh interpreter, so its peak RSS is this command's alone
+    code = ("import resource, sys\n"
+            "import ecopull.cli\n"
+            "assert ecopull.cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
             os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", code, *argv,
+                           "--out", str(out_dir)],
                           env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    peak_kb = int(done.stdout.strip().splitlines()[-1])  # KB on Linux
-    assert peak_kb < 400 * 1024
+    return int(done.stdout.strip().splitlines()[-1])  # KB on Linux
+
+
+def test_closed_form_memory_stays_bounded_at_huge_libraries(tmp_path):
+    # each of the rule's rows holds O(N), so the row count sets the peak
+    argv = ["analyze", "--mode", "exact", "--set", "images_per_device=40000"]
+    assert _peak_rss_kb(argv, tmp_path) < 400 * 1024
+
+
+def test_grid_search_memory_stays_bounded_at_huge_libraries(tmp_path):
+    # the search holds one law row per threshold, 31 x (N + 1), beside the
+    # closed form's (node, load) arrays: neither may grow with the grid
+    argv = ["optimize", "--images", "40000"]
+    assert _peak_rss_kb(argv, tmp_path) < 200 * 1024
 
 
 @pytest.mark.parametrize("devices, images, slots, pth, alpha_r, alpha_n", [

@@ -87,3 +87,40 @@ def test_pmf_edge_cases():
     # far tails underflow to 0, not to NaN
     tails = _binomial.pmf(100_000, 0.5)
     assert np.all(np.isfinite(tails)) and tails[0] == 0.0
+
+
+BATCH_SIZES = (0, 1, 2, 15, 16, 17, 100, 1000)
+# both ends, a tiny p, small p and small q (the end points'
+# other branch) and the middle, among random values
+BATCH_PROBABILITIES = np.concatenate((
+    [0.0, 1.0, 1e-300, 1e-12, 0.03, 0.0999, 0.1, 0.5, 0.9, 0.97,
+     1.0 - 1e-12],
+    np.random.default_rng(20).random(29)))
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+def test_law_rows_are_bitwise_scalar_calls(n):
+    # a grid reads one row per pass probability; each row must be the
+    # scalar law, whatever else is in its batch and in whatever order
+    rows = _binomial.saddle_logpmf(n, BATCH_PROBABILITIES)
+    assert rows.shape == (len(BATCH_PROBABILITIES), n + 1)
+    for row, p in zip(rows, BATCH_PROBABILITIES.tolist()):
+        assert np.array_equal(row, _binomial.saddle_logpmf(n, p))
+    order = np.random.default_rng(n).permutation(len(BATCH_PROBABILITIES))
+    assert np.array_equal(
+        _binomial.saddle_logpmf(n, BATCH_PROBABILITIES[order]), rows[order])
+    for p in (BATCH_PROBABILITIES[:1], BATCH_PROBABILITIES[-3:]):
+        assert np.array_equal(_binomial.saddle_logpmf(n, p),
+                              [_binomial.saddle_logpmf(n, q) for q in p])
+
+
+def test_law_rows_do_not_depend_on_the_row_blocks():
+    # a long batch is computed a block of rows at a time
+    n = 1000
+    probabilities = np.random.default_rng(3).random(
+        3 * _binomial._LAW_BLOCK // (n + 1) + 2)
+    rows = _binomial.saddle_logpmf(n, probabilities)
+    for row, p in zip(rows, probabilities.tolist()):
+        assert np.array_equal(row, _binomial.saddle_logpmf(n, p))
+    assert np.array_equal(_binomial.pmf(n, probabilities), np.exp(rows))
+    assert _binomial.saddle_logpmf(n, []).shape == (0, n + 1)

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ecopull import (SweepSpec, compare_schemes, expected_sifi_exact,
-                     expected_total_energy, load_config, optimize, render_csv,
-                     slots_for_rate, sweep_sifi_vs_rate)
+from ecopull import (ScenarioConfig, SweepSpec, compare_schemes,
+                     expected_sifi_exact, expected_total_energy, load_config,
+                     optimize, render_csv, slots_for_rate, sweep_sifi_vs_rate)
 from ecopull.cli import main as cli_main
 from ecopull.experiments import default_rate_grid, default_vth_grid
 from ecopull.svgplot import line_chart
@@ -102,18 +102,51 @@ def test_score_memo_separates_truth_thresholds():
     assert expected_sifi_exact(loose) == cold
 
 
+SINGLE_POINT_SPECS = {
+    "uniform": {},
+    "beta": {"truth_distribution": {"kind": "beta", "alpha": 2, "beta": 5}},
+    "fixed_frames": {"fixed_frames": 3},
+    "K20": {"device_count": 20},
+    "K1": {"device_count": 1},
+    "noise1e-6": {"model_noise": 1e-6},
+    "none-relevant": {"truth_threshold": 1.0},
+}
+
+
 def test_grid_points_equal_single_point_evaluation():
-    # the grid scores one threshold at a time; every value must be the
-    # single-point one, bit for bit
+    # the grid scores one threshold row at a time from per-size constants;
+    # every value must be the single-point one, bit for bit
+    for name, spec in SINGLE_POINT_SPECS.items():
+        for images in (5, 100):
+            cfg = load_config(dict(spec, images_per_device=images))
+            result = optimize(cfg, 0.8, full_grid=True)
+            assert len(result.grid) == (len(default_vth_grid())
+                                        * len(default_rate_grid()))
+            for point in result.grid:
+                single = replace(
+                    cfg, relevance_threshold=point.relevance_threshold,
+                    compression_rate=point.rate)
+                case = (name, images, point)
+                assert point.sifi == expected_sifi_exact(single), case
+                assert (point.expected_energy
+                        == expected_total_energy(single)), case
+                assert point.slots == single.frame_slots(), case
+
+
+def test_search_builds_no_config_per_threshold(monkeypatch):
+    # the thresholds share the scenario's per-size constants, so the
+    # search validates no config of its own
     cfg = load_config({"images_per_device": 25})
-    result = optimize(cfg, 0.8, full_grid=True)
-    assert len(result.grid) == len(default_vth_grid()) * len(default_rate_grid())
-    for point in result.grid:
-        single = replace(cfg, relevance_threshold=point.relevance_threshold,
-                         compression_rate=point.rate)
-        assert point.sifi == expected_sifi_exact(single)
-        assert point.expected_energy == expected_total_energy(single)
-        assert point.slots == single.frame_slots()
+    built = []
+    validate = ScenarioConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+    optimize(cfg, 0.8, full_grid=True)
+    assert built == []
 
 
 @pytest.mark.parametrize("spec", [

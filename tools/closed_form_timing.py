@@ -4,7 +4,7 @@ Run from the root of a source checkout, given a second checkout to compare
 against (for example the parent commit, unpacked with ``git archive``)::
 
     python3 tools/closed_form_timing.py --parent ../parent --pairs 10 \
-        --out BENCH_17.json
+        --out BENCH.json
 
 Each pair runs one fresh interpreter per side, alternating which side runs
 first. An interpreter imports ``ecopull`` from its side's ``src/`` and
@@ -13,6 +13,12 @@ times, each as the median of several calls after one warm-up call:
 - ``analytic._mean_fractions`` for one threshold of the default scenario
   at K=5, N=100, at K=50, N=1000 and at K=5, N=10000, the large-library
   path (one slot count, the default rate's);
+- one ``optimize`` search of the default scenario at ``--gamma-th 0.8``
+  over the default grid, at N=25 and at N=100, with ecopull's functools
+  caches emptied first, as a fresh invocation starts;
+- the binomial law ``_binomial.saddle_logpmf`` at N=100 for the 31
+  pass probabilities of the default threshold grid: one call on the
+  array where ``saddle_logpmf`` takes one, otherwise one call per value;
 - one ``compare --n-grid 25,100 --gamma-th 0.8`` call (the benchmark's
   ``design`` workload) and one ``compare --n-grid 5:100:5 --gamma-th 0.8``
   call (the default library-size grid) through ``ecopull.cli.main``, each
@@ -29,6 +35,10 @@ import tempfile
 from paired_timing import empty_caches, median_ms, run
 
 SIZES = ((5, 100, 50), (50, 1000, 10), (5, 10000, 3))  # (K, N, calls)
+OPTIMIZE_SIZES = (25, 100)
+OPTIMIZE_CALLS = 20
+LAW_SIZE = 100
+LAW_CALLS = 50
 COMPARE_CALLS = 5
 COMPARE_ARGVS = {
     "compare_ms": ["compare", "--n-grid", "25,100", "--gamma-th", "0.8"],
@@ -39,9 +49,12 @@ COMPARE_ARGVS = {
 
 def measure() -> dict:
     """Time this interpreter's ``ecopull``; one value in ms per metric."""
+    import numpy as np
+
     import ecopull.analytic as analytic
     import ecopull.cli as cli
-    from ecopull import load_config, p_th
+    from ecopull import (_binomial, default_vth_grid, load_config, optimize,
+                         p_th)
 
     result = {}
     for devices, images, repeats in SIZES:
@@ -53,6 +66,30 @@ def measure() -> dict:
         args = (devices, images, [cfg.frame_slots()], pth, alpha_r, alpha_n)
         result[f"mean_fractions_K{devices}_N{images}_ms"] = median_ms(
             lambda: analytic._mean_fractions(*args), repeats)
+
+    for images in OPTIMIZE_SIZES:
+        cfg = load_config({"images_per_device": images})
+
+        def search():
+            empty_caches()
+            optimize(cfg, 0.8)
+
+        result[f"optimize_N{images}_ms"] = median_ms(search, OPTIMIZE_CALLS)
+
+    cfg = load_config(None)
+    probabilities = np.array([p_th(vth, cfg.model_noise,
+                                   cfg.truth_distribution)
+                              for vth in default_vth_grid()])
+    try:
+        _binomial.saddle_logpmf(LAW_SIZE, probabilities)
+
+        def law():
+            _binomial.saddle_logpmf(LAW_SIZE, probabilities)
+    except ValueError:  # a law of one p per call
+        def law():
+            for p in probabilities.tolist():
+                _binomial.saddle_logpmf(LAW_SIZE, p)
+    result[f"saddle_logpmf_grid_N{LAW_SIZE}_ms"] = median_ms(law, LAW_CALLS)
 
     for name, argv in COMPARE_ARGVS.items():
         with tempfile.TemporaryDirectory() as out:
