@@ -21,9 +21,8 @@ from .energy import (communication_energy, computation_energy,
                      expected_total_energy, fixed_overhead_energy,
                      gaussian_tail, model_load_total, p_th,
                      per_relevant_image_energy)
-from .experiments import (CompareResult, CompareRow, GridPoint,
-                          OptimizationResult, SweepRow, SweepSpec,
-                          compare_schemes, default_rate_grid,
+from .experiments import (CompareRow, GridPoint, OptimizationResult,
+                          SweepRow, compare_schemes, default_rate_grid,
                           default_vth_grid, optimize, render_csv,
                           sweep_sifi_vs_rate)
 from .hardware import (InferenceBreakdown, e_dram_access, e_muac,

@@ -10,6 +10,7 @@ fixed seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import astuple, fields, replace
 from pathlib import Path
@@ -19,10 +20,9 @@ from .analytic import expected_sifi_exact, mcmc_expected_sifi
 from .config import (ConfigError, ScenarioConfig, _parse_json,
                      apply_overrides, dump_config, load_config)
 from .energy import (communication_energy, computation_energy,
-                     expected_total_energy, p_th)
-from .experiments import (CompareRow, GridPoint, SweepRow, SweepSpec,
-                          compare_schemes, grid, optimize, render_csv,
-                          sweep_sifi_vs_rate)
+                     expected_energy_grid, expected_total_energy, p_th)
+from .experiments import (CompareRow, GridPoint, SweepRow, compare_schemes,
+                          grid, optimize, render_csv, sweep_sifi_vs_rate)
 from .hardware import e_dram_access, e_muac, inference_breakdown
 from .sim import simulate
 from .svgplot import line_chart
@@ -130,6 +130,8 @@ def _parse_grid(text: str, integer: bool = False) -> list:
         values = list(grid(*(float(p) for p in parts)))
     else:
         values = [float(p) for p in text.split(",") if p.strip()]
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"grid {text!r} must hold finite values")
     if not values:
         raise ConfigError(f"grid {text!r} is empty")
     if integer:
@@ -197,19 +199,17 @@ def _cmd_analyze(args) -> int:
         if args.trace or args.burn_in != 0 or not args.hastings:
             raise ValueError("--trace, --burn-in and --no-hastings apply to "
                              "--mode mcmc only")
-        estimate = expected_sifi_exact(cfg)
-        header = ["mode", "sifi", "samples", "acceptance_rate"]
-        rows = [["exact", estimate, "", ""]]
-        _write(args, "analyze.csv", render_csv(header, rows))
-        return 0
-    result = mcmc_expected_sifi(cfg, args.samples, args.seed,
-                                burn_in=args.burn_in,
-                                hastings=args.hastings,
-                                keep_trace=args.trace)
+        row = ["exact", expected_sifi_exact(cfg), "", ""]
+    else:
+        result = mcmc_expected_sifi(cfg, args.samples, args.seed,
+                                    burn_in=args.burn_in,
+                                    hastings=args.hastings,
+                                    keep_trace=args.trace)
+        row = ["mcmc", result.estimate, result.samples,
+               result.acceptance_rate]
     header = ["mode", "sifi", "samples", "acceptance_rate"]
-    rows = [["mcmc", result.estimate, result.samples,
-             result.acceptance_rate]]
-    _write(args, "analyze.csv", render_csv(header, rows))
+    _write(args, "analyze.csv", render_csv(header, [row]))
+    # --trace is refused in exact mode, so a chain ran
     if args.trace and result.success_trace is not None:
         trace_rows = [[i, v] for i, v in enumerate(result.success_trace)]
         _write(args, "analyze_trace.csv",
@@ -218,22 +218,17 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    spec = SweepSpec(config=cfg, grid=tuple(_parse_grid(args.grid)),
-                     mode=args.mode, rounds=args.rounds,
-                     samples=args.samples, seed=args.seed)
-    rows = sweep_sifi_vs_rate(spec)
-    svg = None
+    rows = sweep_sifi_vs_rate(_load(args), _parse_grid(args.grid),
+                              mode=args.mode, rounds=args.rounds,
+                              samples=args.samples, seed=args.seed)
+    rates = [r.rate for r in rows]
     series = []
-    if any(r.sifi_mcmc is not None for r in rows):
-        series.append(("analysis", [r.rate for r in rows],
-                       [r.sifi_mcmc for r in rows]))
-    if any(r.sifi_sim is not None for r in rows):
-        series.append(("simulation", [r.rate for r in rows],
-                       [r.sifi_sim for r in rows]))
-    if any(r.sifi_exact is not None for r in rows):
-        series.append(("exact", [r.rate for r in rows],
-                       [r.sifi_exact for r in rows]))
+    for label, name in (("analysis", "sifi_mcmc"), ("simulation", "sifi_sim"),
+                        ("exact", "sifi_exact")):
+        scores = [getattr(r, name) for r in rows]
+        if any(score is not None for score in scores):
+            series.append((label, rates, scores))
+    svg = None
     if series:
         svg = line_chart(series, title="Retrieval score vs compression rate",
                          x_label="compression rate [bpp]", y_label="score")
@@ -243,8 +238,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _load(args)
-    result = optimize(cfg, args.gamma_th, images_per_device=args.images,
-                      full_grid=args.full_grid)
+    if args.images is not None:
+        cfg = replace(cfg, images_per_device=args.images)
+    result = optimize(cfg, args.gamma_th, full_grid=args.full_grid)
     header = ["feasible", "relevance_threshold", "rate", "slots", "sifi",
               "expected_energy", "gamma_th"]
     best = result.best
@@ -265,7 +261,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     cfg = _load(args)
     n_grid = _parse_grid(args.n_grid, integer=True)
-    rows = compare_schemes(cfg, n_grid, args.gamma_th).rows
+    rows = compare_schemes(cfg, n_grid, args.gamma_th)
     feasible = [r for r in rows if r.feasible]
     svg = None
     if args.format != "csv":
@@ -317,13 +313,15 @@ def _cmd_energy_breakdown(args) -> int:
 
 def _cmd_expected_energy(args) -> int:
     cfg = _load(args)
+    thresholds = _parse_grid(args.vth_grid)
+    rates = _parse_grid(args.r_grid)
+    pass_probabilities = [p_th(vth, cfg.model_noise, cfg.truth_distribution)
+                          for vth in thresholds]
+    energies = expected_energy_grid(cfg, pass_probabilities, rates)
     header = ["relevance_threshold", "rate", "expected_energy"]
-    rows = []
-    for vth in _parse_grid(args.vth_grid):
-        for rate in _parse_grid(args.r_grid):
-            point = replace(cfg, relevance_threshold=vth,
-                            compression_rate=rate)
-            rows.append([vth, rate, expected_total_energy(point)])
+    rows = [[vth, rate, energy]
+            for vth, row in zip(thresholds, energies)
+            for rate, energy in zip(rates, row)]
     _write(args, "expected_energy.csv", render_csv(header, rows))
     return 0
 

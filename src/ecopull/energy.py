@@ -158,7 +158,7 @@ _GRADED_DEPTH = 16.0
 
 
 def _normal_cdf(z: float) -> float:
-    return float(gaussian_tail(-z))
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def _normal_partial_mean(z: float) -> float:
@@ -232,19 +232,6 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
     raise ValueError(f"no filtered mass for truth kind {truth.kind!r}")
 
 
-def _capped_mean(images_per_device: int, pass_probability: float,
-                 frames: int, log_law: Optional[np.ndarray] = None) -> float:
-    # E[min(c, F)] for c ~ Bin(N, p), as F - sum_{c<F} (F - c) P(c): only
-    # loads below the cap send fewer than F images. log_law is the law's
-    # row, saddle_logpmf(N, p), when the caller has it.
-    if frames >= images_per_device:
-        return images_per_device * pass_probability
-    if log_law is None:
-        log_law = _binomial.saddle_logpmf(images_per_device, pass_probability)
-    pmf = np.exp(log_law[:frames])
-    return frames - float(np.dot(frames - np.arange(frames), pmf))
-
-
 def expected_energy_grid(cfg: ScenarioConfig,
                          pass_probabilities: Sequence[float],
                          rates: Sequence[float],
@@ -257,12 +244,14 @@ def expected_energy_grid(cfg: ScenarioConfig,
     packet are computed once; a row takes only its pass probability and,
     under ``fixed_frames``, its mean sent count. ``log_law`` holds
     ``saddle_logpmf(N, pass_probabilities)`` when the caller has it;
-    otherwise a capped row computes its own. Each value is bitwise
-    :func:`expected_total_energy` of ``cfg`` at that threshold and rate.
+    otherwise a cap below N computes it, once for all rows. Each value is
+    bitwise :func:`expected_total_energy` of ``cfg`` at that threshold and
+    rate.
 
     A device compresses all ``c ~ Bin(N, p_th)`` of its passed images but,
     under ``fixed_frames`` ``F``, sends one per frame, ``min(c, F)`` in
-    all, as the simulator does.
+    all, as the simulator does. Its mean is ``F - sum_{c<F} (F - c) P(c)``:
+    only loads below the cap send fewer than F images.
     """
     overhead = fixed_overhead_energy(cfg)
     compress = _compression_energy(cfg)
@@ -273,9 +262,14 @@ def expected_energy_grid(cfg: ScenarioConfig,
     if frames is None:
         energies = np.multiply.outer(loads, compress + uplinks) + overhead
     else:
-        sent = [_capped_mean(n, pth, frames,
-                             None if log_law is None else log_law[row])
-                for row, pth in enumerate(pass_probabilities)]
+        if frames >= n:
+            sent = loads
+        else:
+            if log_law is None:
+                log_law = _binomial.saddle_logpmf(n, pass_probabilities)
+            shortfall = frames - np.arange(frames)
+            sent = [frames - float(np.dot(shortfall, np.exp(row[:frames])))
+                    for row in log_law]
         energies = ((loads * compress)[:, None]
                     + np.multiply.outer(sent, uplinks) + overhead)
     return energies.tolist()

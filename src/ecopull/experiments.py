@@ -1,5 +1,11 @@
 """Experiment harness: rate sweeps, constrained grid search, scheme comparison.
 
+Each is one function of a config::
+
+    rows = sweep_sifi_vs_rate(cfg, (1.0, 1.5, 2.0), mode="exact")
+    best = optimize(cfg, 0.8).best      # a GridPoint, or None
+    table = compare_schemes(cfg, [25, 100], 0.8)   # one CompareRow per N
+
 The grid search scores points with the closed form
 :func:`~ecopull.analytic.expected_sifi_exact`, so its feasibility boundary
 and argmin carry no sampling noise and depend on no seed. It scores only
@@ -28,12 +34,10 @@ from .energy import expected_energy_grid, p_th
 from .sim import simulate
 
 __all__ = [
-    "SweepSpec",
     "SweepRow",
     "GridPoint",
     "OptimizationResult",
     "CompareRow",
-    "CompareResult",
     "sweep_sifi_vs_rate",
     "grid",
     "default_vth_grid",
@@ -46,26 +50,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One compression-rate sweep: grid, evaluation mode, and sampling effort."""
-
-    config: ScenarioConfig
-    grid: tuple[float, ...]
-    mode: str = "mcmc"              # mcmc | simulate | exact | both
-    rounds: int = 10_000            # simulation rounds per point
-    samples: int = 10_000           # chain length per point
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.grid:
-            raise ValueError("sweep grid must be nonempty")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("sweep grid must be strictly increasing")
-        if self.mode not in ("mcmc", "simulate", "exact", "both"):
-            raise ValueError(f"unknown sweep mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class SweepRow:
     rate: float
     slots: int
@@ -75,24 +59,39 @@ class SweepRow:
     sifi_exact: Optional[float] = None
 
 
-def sweep_sifi_vs_rate(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the score across compression rates, one row per grid point."""
-    exact_scores = (expected_sifi_over_rates(spec.config, spec.grid)
-                    if spec.mode == "exact" else [None] * len(spec.grid))
+def sweep_sifi_vs_rate(cfg: ScenarioConfig, grid: Sequence[float], *,
+                       mode: str = "mcmc", rounds: int = 10_000,
+                       samples: int = 10_000, seed: int = 0
+                       ) -> list[SweepRow]:
+    """Evaluate the score across compression rates, one row per grid point.
+
+    ``mode`` is ``mcmc`` (one chain of ``samples`` steps per rate),
+    ``simulate`` (``rounds`` rounds per rate), ``exact`` (the closed form
+    over all rates in one call) or ``both`` (chain and simulation). Each
+    point's chain and simulation take ``seed``.
+    """
+    grid = tuple(grid)
+    if not grid:
+        raise ValueError("sweep grid must be nonempty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("sweep grid must be strictly increasing")
+    if mode not in ("mcmc", "simulate", "exact", "both"):
+        raise ValueError(f"unknown sweep mode {mode!r}")
+    exact_scores = (expected_sifi_over_rates(cfg, grid) if mode == "exact"
+                    else [None] * len(grid))
     rows = []
-    for rate, exact in zip(spec.grid, exact_scores):
+    for rate, exact in zip(grid, exact_scores):
         # explicit slot counts stay fixed; otherwise L follows the rate
-        cfg = replace(spec.config, compression_rate=rate)
-        slots = cfg.frame_slots()
+        point = replace(cfg, compression_rate=rate)
         mcmc = sim = stderr = None
-        if spec.mode in ("mcmc", "both"):
-            mcmc = mcmc_expected_sifi(cfg, spec.samples, spec.seed).estimate
-        if spec.mode in ("simulate", "both"):
-            aggregate = simulate(cfg, spec.rounds, spec.seed)
+        if mode in ("mcmc", "both"):
+            mcmc = mcmc_expected_sifi(point, samples, seed).estimate
+        if mode in ("simulate", "both"):
+            aggregate = simulate(point, rounds, seed)
             sim = aggregate.mean_sifi
             stderr = aggregate.sifi_stderr
-        rows.append(SweepRow(rate=rate, slots=slots, sifi_mcmc=mcmc,
-                             sifi_sim=sim, sim_stderr=stderr,
+        rows.append(SweepRow(rate=rate, slots=point.frame_slots(),
+                             sifi_mcmc=mcmc, sifi_sim=sim, sim_stderr=stderr,
                              sifi_exact=exact))
     return rows
 
@@ -145,7 +144,6 @@ def default_rate_grid() -> tuple[float, ...]:
 
 
 def optimize(cfg: ScenarioConfig, gamma_th: float,
-             images_per_device: Optional[int] = None,
              vth_grid: Optional[Sequence[float]] = None,
              rate_grid: Optional[Sequence[float]] = None,
              full_grid: bool = False) -> OptimizationResult:
@@ -170,8 +168,6 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     """
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError(f"gamma_th={gamma_th} outside [0, 1]")
-    if images_per_device is not None:
-        cfg = replace(cfg, images_per_device=images_per_device)
     vth_grid = tuple(vth_grid) if vth_grid is not None else default_vth_grid()
     rate_grid = (tuple(rate_grid) if rate_grid is not None
                  else default_rate_grid())
@@ -233,49 +229,41 @@ class CompareRow:
     feasible: bool
 
 
-@dataclass(frozen=True)
-class CompareResult:
-    rows: list[CompareRow]
-
-
 def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
                     gamma_th: float,
                     vth_grid: Optional[Sequence[float]] = None,
                     rate_grid: Optional[Sequence[float]] = None
-                    ) -> CompareResult:
-    """Energy-saving ratios of each scheme across library sizes.
+                    ) -> list[CompareRow]:
+    """Energy-saving ratios of each scheme, one row per library size.
 
     The TinyML scheme is re-optimized per library size; the filter-only and
     plain schemes are evaluated at the template's own threshold, keeping
     their curves independent of the optimizer's grid flips. A size with no
-    feasible grid point reports NaN ratios and is flagged, rather than
-    failing the whole comparison.
+    feasible grid point reports NaN ratios and energies, bar the plain
+    scheme's, and is flagged, rather than failing the whole comparison.
     """
     rows = []
     for n in n_grid:
         base_cfg = replace(cfg, images_per_device=int(n))
         best = optimize(base_cfg, gamma_th, vth_grid=vth_grid,
                         rate_grid=rate_grid).best
-        if best is None:
-            rows.append(CompareRow(
-                images_per_device=int(n), eta_ecopull=math.nan,
-                eta_tinyairnet=math.nan, relevance_threshold=None,
-                rate=None, sifi=None, energy_ecopull=math.nan,
-                energy_tinyairnet=math.nan,
-                energy_baseline=baseline_energy(base_cfg),
-                feasible=False))
-            continue
-        eco = best.expected_energy
-        tiny = tinyairnet_energy(base_cfg)
         base = baseline_energy(base_cfg)
+        if best is None:
+            eco = tiny = eta_eco = eta_tiny = math.nan
+            vth = rate = sifi = None
+        else:
+            eco = best.expected_energy
+            tiny = tinyairnet_energy(base_cfg)
+            eta_eco = energy_saving_ratio(eco, base)
+            eta_tiny = energy_saving_ratio(tiny, base)
+            vth, rate, sifi = best.relevance_threshold, best.rate, best.sifi
         rows.append(CompareRow(
-            images_per_device=int(n),
-            eta_ecopull=energy_saving_ratio(eco, base),
-            eta_tinyairnet=energy_saving_ratio(tiny, base),
-            relevance_threshold=best.relevance_threshold,
-            rate=best.rate, sifi=best.sifi, energy_ecopull=eco,
-            energy_tinyairnet=tiny, energy_baseline=base, feasible=True))
-    return CompareResult(rows=rows)
+            images_per_device=int(n), eta_ecopull=eta_eco,
+            eta_tinyairnet=eta_tiny,
+            relevance_threshold=vth, rate=rate, sifi=sifi,
+            energy_ecopull=eco, energy_tinyairnet=tiny,
+            energy_baseline=base, feasible=best is not None))
+    return rows
 
 
 # --- CSV rendering -----------------------------------------------------------

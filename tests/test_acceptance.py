@@ -22,7 +22,7 @@ from ecopull import (compare_schemes, expected_sifi_exact,
                      load_config, mcmc_expected_sifi, p_th,
                      per_relevant_image_energy, simulate, UniformTruth)
 from ecopull.cli import main as cli_main
-from ecopull.experiments import SweepSpec, sweep_sifi_vs_rate
+from ecopull.experiments import sweep_sifi_vs_rate
 from reference import (compositions, expected_energy_by_count,
                        realization_pmf)
 
@@ -128,9 +128,8 @@ def test_criterion_5_rate_sweep_shape():
     sweeps = {}
     for coeff in (2, 5, 10):
         cfg = load_config({"slot_coefficient": coeff})
-        sweeps[coeff] = sweep_sifi_vs_rate(
-            SweepSpec(config=cfg, grid=grid, mode="mcmc", samples=10_000,
-                      seed=4))
+        sweeps[coeff] = sweep_sifi_vs_rate(cfg, grid, mode="mcmc",
+                                           samples=10_000, seed=4)
     values = [row.sifi_mcmc for row in sweeps[5]]
     best = int(np.argmax(values))
     interior = 0 < best < len(values) - 1 \
@@ -155,7 +154,7 @@ def comparison():
 
 def test_criterion_6_baseline_comparison(comparison):
     """Ratio curves: shape, ordering, endpoint, and the break-even crossing."""
-    rows = comparison.rows
+    rows = comparison
     feasible_all = all(row.feasible for row in rows)
     eco = [row.eta_ecopull for row in rows]
     tiny = [row.eta_tinyairnet for row in rows]

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ecopull import BetaTruth, UniformTruth, cli, load_config
+from ecopull import BetaTruth, ScenarioConfig, UniformTruth, cli, load_config
 from ecopull.cli import main
 
 
@@ -137,6 +137,22 @@ def test_expected_energy_grid(capsys):
     assert len(lines) == 5
 
 
+def test_expected_energy_builds_no_config_per_point(capsys, monkeypatch):
+    # the points share one energy grid over the thresholds' pass
+    # probabilities, so only the loaded config is validated
+    built = []
+    validate = ScenarioConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+    rc, _, _ = run_cli(capsys, "expected-energy", "--set", "fixed_frames=3")
+    assert rc == 0
+    assert len(built) == 1
+
+
 def test_energy_commands_match_simulation_under_frame_cap(capsys):
     cap = ("--set", "fixed_frames=1")
     rc, out, _ = run_cli(capsys, "simulate", "--rounds", "2000", "--seed", "1",
@@ -250,6 +266,9 @@ def test_config_errors_exit_code(capsys):
     ["expected-energy", "--vth-grid", "0.5:0.4:0.1"],
     ["expected-energy", "--vth-grid", "0.5:0.8:nan"],
     ["expected-energy", "--vth-grid", "0.5:inf:0.1"],
+    # a comma list once let non-finite values through to the output
+    ["expected-energy", "--vth-grid", "0.6", "--r-grid", "inf"],
+    ["sweep-sifi", "--grid", "1,inf", "--mode", "exact"],
     ["compare", "--n-grid", "5:inf:5"],
     # non-finite config numbers once gave a score of 0 or NaN energies
     ["analyze", "--mode", "exact", "--set", "model_noise=1e400"],
@@ -392,6 +411,14 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
     (["expected-energy", "--set", "fixed_frames=3"],
      {"expected_energy.csv": ("038a75d644326e774275516feb76563d"
                               "33b5b260427142bf6fff93abbc77edc5")}),
+    # a Beta truth under a cap, on the search's threshold and rate grids
+    (["expected-energy", "--vth-grid", "0.5:0.8:0.01",
+      "--r-grid", "1:2:0.0667", "--set", "fixed_frames=7",
+      "--set", "truth_distribution.kind=beta",
+      "--set", "truth_distribution.alpha=2",
+      "--set", "truth_distribution.beta=5"],
+     {"expected_energy.csv": ("78e22299f1f38c6dbf5537cf96b01579"
+                              "b185a9d20045430131e59f1eedf01e6f")}),
     # every point of the default design grid, none pruned
     (["optimize", "--gamma-th", "0.8", "--full-grid"],
      {"optimize.csv": ("5c571397736970f4c9fcddbe55d04ac9"

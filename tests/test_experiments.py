@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ecopull import (ScenarioConfig, SweepSpec, compare_schemes,
+from ecopull import (ScenarioConfig, compare_schemes,
                      expected_sifi_exact, expected_total_energy, load_config,
                      optimize, render_csv, slots_for_rate, sweep_sifi_vs_rate)
 from ecopull.cli import main as cli_main
@@ -46,18 +46,17 @@ def test_default_grids():
 def test_sweep_spec_validation():
     cfg = load_config()
     with pytest.raises(ValueError, match="increasing"):
-        SweepSpec(config=cfg, grid=(1.0, 1.0))
+        sweep_sifi_vs_rate(cfg, (1.0, 1.0))
     with pytest.raises(ValueError, match="nonempty"):
-        SweepSpec(config=cfg, grid=())
+        sweep_sifi_vs_rate(cfg, ())
     with pytest.raises(ValueError, match="mode"):
-        SweepSpec(config=cfg, grid=(1.0,), mode="guess")
+        sweep_sifi_vs_rate(cfg, (1.0,), mode="guess")
 
 
 def test_sweep_rows_and_slot_derivation():
     cfg = load_config({"images_per_device": 20})
-    spec = SweepSpec(config=cfg, grid=(1.0, 1.5, 2.0, 3.0), mode="mcmc",
-                     samples=2000, seed=5)
-    rows = sweep_sifi_vs_rate(spec)
+    rows = sweep_sifi_vs_rate(cfg, (1.0, 1.5, 2.0, 3.0), mode="mcmc",
+                              samples=2000, seed=5)
     assert [r.slots for r in rows] == [slots_for_rate(r.rate, 5)
                                        for r in rows]
     assert all(r.sifi_mcmc is not None and r.sifi_sim is None for r in rows)
@@ -65,9 +64,8 @@ def test_sweep_rows_and_slot_derivation():
 
 def test_sweep_both_modes_fill_both_columns():
     cfg = load_config({"images_per_device": 10})
-    spec = SweepSpec(config=cfg, grid=(1.0, 2.0), mode="both", rounds=300,
-                     samples=1000, seed=5)
-    rows = sweep_sifi_vs_rate(spec)
+    rows = sweep_sifi_vs_rate(cfg, (1.0, 2.0), mode="both", rounds=300,
+                              samples=1000, seed=5)
     for row in rows:
         assert row.sifi_mcmc is not None
         assert row.sifi_sim is not None
@@ -77,8 +75,7 @@ def test_sweep_both_modes_fill_both_columns():
 def test_sweep_monotone_within_constant_slot_segments():
     cfg = load_config({"images_per_device": 30})
     grid = tuple(round(1.0 + 0.1 * k, 10) for k in range(20))
-    rows = sweep_sifi_vs_rate(SweepSpec(config=cfg, grid=grid, mode="mcmc",
-                                        samples=3000, seed=8))
+    rows = sweep_sifi_vs_rate(cfg, grid, mode="mcmc", samples=3000, seed=8)
     for a, b in zip(rows, rows[1:]):
         if a.slots == b.slots:
             assert b.sifi_mcmc >= a.sifi_mcmc - 1e-12
@@ -86,9 +83,9 @@ def test_sweep_monotone_within_constant_slot_segments():
 
 def test_sweep_is_deterministic():
     cfg = load_config({"images_per_device": 15})
-    spec = SweepSpec(config=cfg, grid=(1.0, 1.6, 2.4), mode="both",
-                     rounds=200, samples=800, seed=3)
-    assert sweep_sifi_vs_rate(spec) == sweep_sifi_vs_rate(spec)
+    spec = dict(mode="both", rounds=200, samples=800, seed=3)
+    assert (sweep_sifi_vs_rate(cfg, (1.0, 1.6, 2.4), **spec)
+            == sweep_sifi_vs_rate(cfg, (1.0, 1.6, 2.4), **spec))
 
 
 def test_score_memo_separates_truth_thresholds():
@@ -181,7 +178,7 @@ def test_pruned_search_matches_the_full_grid(spec):
 def test_sweep_exact_rows_equal_single_point_evaluation():
     cfg = load_config({"images_per_device": 20, "truth_threshold": 0.8})
     grid = (1.0, 1.2, 1.6, 2.4, 4.86)
-    rows = sweep_sifi_vs_rate(SweepSpec(config=cfg, grid=grid, mode="exact"))
+    rows = sweep_sifi_vs_rate(cfg, grid, mode="exact")
     for row in rows:
         single = replace(cfg, compression_rate=row.rate)
         assert row.sifi_exact == expected_sifi_exact(single)
@@ -272,10 +269,10 @@ def test_optimize_rejects_bad_floor():
 
 def test_compare_rows_and_ratio_consistency():
     cfg = load_config()
-    result = compare_schemes(cfg, [10, 30], 0.8, vth_grid=(0.55, 0.65, 0.75),
-                             rate_grid=(1.0, 1.5))
-    assert [row.images_per_device for row in result.rows] == [10, 30]
-    for row in result.rows:
+    rows = compare_schemes(cfg, [10, 30], 0.8, vth_grid=(0.55, 0.65, 0.75),
+                           rate_grid=(1.0, 1.5))
+    assert [row.images_per_device for row in rows] == [10, 30]
+    for row in rows:
         assert row.feasible
         assert row.eta_ecopull == pytest.approx(
             row.energy_ecopull / row.energy_baseline, rel=1e-12)

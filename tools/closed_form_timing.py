@@ -20,10 +20,11 @@ times, each as the median of several calls after one warm-up call:
   pass probabilities of the default threshold grid: one call on the
   array where ``saddle_logpmf`` takes one, otherwise one call per value;
 - one ``compare --n-grid 25,100 --gamma-th 0.8`` call (the benchmark's
-  ``design`` workload) and one ``compare --n-grid 5:100:5 --gamma-th 0.8``
-  call (the default library-size grid) through ``ecopull.cli.main``, each
-  with ecopull's functools caches emptied first, as a fresh invocation
-  starts.
+  ``design`` workload), one ``compare --n-grid 5:100:5 --gamma-th 0.8``
+  call (the default library-size grid) and one ``expected-energy
+  --vth-grid 0.5:0.8:0.01 --r-grid 1:2:0.0667`` call (the search's
+  threshold and rate grids) through ``ecopull.cli.main``, each with
+  ecopull's functools caches emptied first, as a fresh invocation starts.
 
 The pairing and the report are ``tools/paired_timing.py``'s.
 """
@@ -39,11 +40,13 @@ OPTIMIZE_SIZES = (25, 100)
 OPTIMIZE_CALLS = 20
 LAW_SIZE = 100
 LAW_CALLS = 50
-COMPARE_CALLS = 5
-COMPARE_ARGVS = {
+CLI_CALLS = 5
+CLI_ARGVS = {
     "compare_ms": ["compare", "--n-grid", "25,100", "--gamma-th", "0.8"],
     "compare_default_grid_ms": ["compare", "--n-grid", "5:100:5",
                                 "--gamma-th", "0.8"],
+    "expected_energy_ms": ["expected-energy", "--vth-grid", "0.5:0.8:0.01",
+                           "--r-grid", "1:2:0.0667"],
 }
 
 
@@ -91,22 +94,22 @@ def measure() -> dict:
                 _binomial.saddle_logpmf(LAW_SIZE, p)
     result[f"saddle_logpmf_grid_N{LAW_SIZE}_ms"] = median_ms(law, LAW_CALLS)
 
-    for name, argv in COMPARE_ARGVS.items():
+    for name, argv in CLI_ARGVS.items():
         with tempfile.TemporaryDirectory() as out:
             argv = argv + ["--out", out]
 
-            def design_call():
+            def cli_call():
                 empty_caches()
                 sink = io.StringIO()
                 with contextlib.redirect_stdout(sink), \
                         contextlib.redirect_stderr(sink):
                     if cli.main(argv) != 0:
                         raise RuntimeError(
-                            f"compare failed: {sink.getvalue()}")
+                            f"{argv[0]} failed: {sink.getvalue()}")
 
-            result[name] = median_ms(design_call, COMPARE_CALLS)
+            result[name] = median_ms(cli_call, CLI_CALLS)
     return result
 
 
 if __name__ == "__main__":
-    raise SystemExit(run(__doc__, measure, COMPARE_ARGVS))
+    raise SystemExit(run(__doc__, measure, CLI_ARGVS))
