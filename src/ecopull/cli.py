@@ -5,6 +5,12 @@ overrides mirroring config field paths, ``--seed``, ``--out`` (output
 directory). The two charting commands, ``sweep-sifi`` and ``compare``, also
 take ``--format csv|svg|both``. All file output is deterministic for a
 fixed seed.
+
+Each command imports the modules it runs when it runs, and looks their
+functions up then, so ``print-config`` loads only the config code,
+``simulate`` never loads the score or experiment code, and the chart
+module loads only when a chart is written. The config loaders and
+``render_csv``, which every command calls, stay module globals.
 """
 
 from __future__ import annotations
@@ -16,16 +22,9 @@ from dataclasses import astuple, fields, replace
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .analytic import expected_sifi_exact, mcmc_expected_sifi
+from ._tabular import grid, render_csv
 from .config import (ConfigError, ScenarioConfig, _parse_json,
                      apply_overrides, dump_config, load_config)
-from .energy import (communication_energy, computation_energy,
-                     expected_energy_grid, expected_total_energy, p_th)
-from .experiments import (CompareRow, GridPoint, SweepRow, compare_schemes,
-                          grid, optimize, render_csv, sweep_sifi_vs_rate)
-from .hardware import e_dram_access, e_muac, inference_breakdown
-from .sim import simulate
-from .svgplot import line_chart
 
 __all__ = ["main", "build_parser"]
 
@@ -174,6 +173,7 @@ def _cmd_print_config(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sim import simulate
     cfg = _load(args)
     aggregate = simulate(cfg, args.rounds, args.seed,
                          keep_rounds=args.per_round)
@@ -194,6 +194,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .analytic import expected_sifi_exact, mcmc_expected_sifi
     cfg = _load(args)
     if args.mode == "exact":
         if args.trace or args.burn_in != 0 or not args.hastings:
@@ -218,18 +219,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .experiments import SweepRow, sweep_sifi_vs_rate
     rows = sweep_sifi_vs_rate(_load(args), _parse_grid(args.grid),
                               mode=args.mode, rounds=args.rounds,
                               samples=args.samples, seed=args.seed)
-    rates = [r.rate for r in rows]
-    series = []
-    for label, name in (("analysis", "sifi_mcmc"), ("simulation", "sifi_sim"),
-                        ("exact", "sifi_exact")):
-        scores = [getattr(r, name) for r in rows]
-        if any(score is not None for score in scores):
-            series.append((label, rates, scores))
     svg = None
-    if series:
+    if args.format != "csv":
+        from .svgplot import line_chart
+        rates = [r.rate for r in rows]
+        # every mode fills at least one score column
+        series = []
+        for label, name in (("analysis", "sifi_mcmc"),
+                            ("simulation", "sifi_sim"),
+                            ("exact", "sifi_exact")):
+            scores = [getattr(r, name) for r in rows]
+            if any(score is not None for score in scores):
+                series.append((label, rates, scores))
         svg = line_chart(series, title="Retrieval score vs compression rate",
                          x_label="compression rate [bpp]", y_label="score")
     _emit_chart(args, "sweep_sifi", _records_csv(SweepRow, rows), svg)
@@ -237,6 +242,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    from .experiments import GridPoint, optimize
     cfg = _load(args)
     if args.images is not None:
         cfg = replace(cfg, images_per_device=args.images)
@@ -259,6 +265,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .experiments import CompareRow, compare_schemes
     cfg = _load(args)
     n_grid = _parse_grid(args.n_grid, integer=True)
     rows = compare_schemes(cfg, n_grid, args.gamma_th)
@@ -269,6 +276,7 @@ def _cmd_compare(args) -> int:
             print("compare: no library size has a feasible design point, "
                   "so there is no chart to draw", file=sys.stderr)
             return 2
+        from .svgplot import line_chart
         ns = [r.images_per_device for r in feasible]
         svg = line_chart(
             [("ecopull", ns, [r.eta_ecopull for r in feasible]),
@@ -281,6 +289,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_energy_breakdown(args) -> int:
+    from .energy import (communication_energy, computation_energy,
+                         expected_total_energy, p_th)
+    from .hardware import e_dram_access, e_muac, inference_breakdown
     cfg = _load(args)
     header = ["model", "e_muac", "e_dram_access", "dram", "compute",
               "weight_moves", "activation_moves", "total"]
@@ -312,6 +323,7 @@ def _cmd_energy_breakdown(args) -> int:
 
 
 def _cmd_expected_energy(args) -> int:
+    from .energy import expected_energy_grid, p_th
     cfg = _load(args)
     thresholds = _parse_grid(args.vth_grid)
     rates = _parse_grid(args.r_grid)

@@ -149,7 +149,7 @@ class TruthDistribution:
     def cdf(self, beta):
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: "np.random.Generator", size=None):
         raise NotImplementedError
 
     def validate(self, atol: float = 1e-9) -> None:
@@ -170,7 +170,7 @@ class UniformTruth(TruthDistribution):
     def cdf(self, beta):
         return np.clip(beta, 0.0, 1.0)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: "np.random.Generator", size=None):
         return rng.random(size)
 
 
@@ -244,7 +244,7 @@ class BetaTruth(TruthDistribution):
     def cdf(self, beta):
         return _betainc(self.alpha, self.beta, np.clip(beta, 0.0, 1.0))[0]
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: "np.random.Generator", size=None):
         return rng.beta(self.alpha, self.beta, size)
 
 
@@ -385,7 +385,9 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
 # its annotated int, float or bool (None only where it is Optional), a
 # nested mapping updates the ScenarioConfig field's own default, and a
 # truth_distribution mapping builds the class its "kind" names. This module
-# keeps its annotations evaluated, so reading them needs no string eval.
+# keeps its field annotations evaluated, so reading them needs no string
+# eval. Only the ``sample`` methods quote ``np.random.Generator``: that
+# name would import numpy.random, which only the simulator uses.
 
 
 @lru_cache(maxsize=None)

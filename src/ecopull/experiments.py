@@ -15,23 +15,23 @@ threshold's quadratures and sums over loads between them. The thresholds
 share one binomial law and the energy's and score's per-size constants;
 no config is built per threshold. Rate sweeps in
 ``mcmc`` mode run one Metropolis chain per grid point with the sweep's
-seed.
+seed; only a sweep that simulates imports the simulator. :func:`grid`,
+:func:`format_cell` and :func:`render_csv` live in ``ecopull._tabular``
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ._binomial import saddle_logpmf
+from ._tabular import format_cell, grid, render_csv
 from .analytic import ScoreRows, expected_sifi_over_rates, mcmc_expected_sifi
 from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import ScenarioConfig, _warn_if_penalty_below_distance
 from .energy import expected_energy_grid, p_th
-from .sim import simulate
 
 __all__ = [
     "SweepRow",
@@ -87,6 +87,8 @@ def sweep_sifi_vs_rate(cfg: ScenarioConfig, grid: Sequence[float], *,
         if mode in ("mcmc", "both"):
             mcmc = mcmc_expected_sifi(point, samples, seed).estimate
         if mode in ("simulate", "both"):
+            # only a simulating sweep compiles the simulator
+            from .sim import simulate
             aggregate = simulate(point, rounds, seed)
             sim = aggregate.mean_sifi
             stderr = aggregate.sifi_stderr
@@ -121,20 +123,6 @@ class OptimizationResult:
     grid: list[GridPoint] = field(repr=False)
 
 
-def grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """``start, start + step, ...`` up to ``stop``, each rounded to 10
-    decimals; a value within 1e-9 past ``stop`` is kept."""
-    if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError(f"grid {start}:{stop}:{step} must have finite "
-                         "start, stop and step")
-    if step <= 0:
-        raise ValueError(f"grid step {step} must be positive")
-    values = []
-    while (value := round(start + len(values) * step, 10)) <= stop + 1e-9:
-        values.append(value)
-    return tuple(values)
-
-
 def default_vth_grid() -> tuple[float, ...]:
     return grid(0.50, 0.80, 0.01)
 
@@ -163,17 +151,22 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     :func:`expected_sifi_exact` and ``frame_slots()`` of the config at that
     point. Ties break deterministically: lowest energy, then highest
     score, then smallest rate, then smallest threshold. An empty feasible
-    set is reported, not raised. Like a config, it warns when the penalty
-    is below the fidelity distance of its smallest rate.
+    set is reported, not raised; an empty grid raises ``ValueError``. Like
+    a config, it warns when the penalty is below the fidelity distance of
+    its smallest rate.
     """
     if not 0.0 <= gamma_th <= 1.0:
         raise ValueError(f"gamma_th={gamma_th} outside [0, 1]")
     vth_grid = tuple(vth_grid) if vth_grid is not None else default_vth_grid()
     rate_grid = (tuple(rate_grid) if rate_grid is not None
                  else default_rate_grid())
-    if rate_grid:
-        _warn_if_penalty_below_distance(cfg.penalty, min(rate_grid),
-                                        stacklevel=3)
+    # nothing scored is not the same answer as nothing feasible
+    if not vth_grid:
+        raise ValueError("threshold grid must be nonempty")
+    if not rate_grid:
+        raise ValueError("rate grid must be nonempty")
+    _warn_if_penalty_below_distance(cfg.penalty, min(rate_grid),
+                                    stacklevel=3)
 
     # no config per threshold: the thresholds share one binomial law, the
     # energy's per-size constants and the score's (ScoreRows)
@@ -183,7 +176,7 @@ def optimize(cfg: ScenarioConfig, gamma_th: float,
     energy_rows = expected_energy_grid(cfg, pass_probabilities, rate_grid,
                                        log_law)
     score_rows = ScoreRows(cfg, rate_grid)
-    cheapest = [min(row, default=math.inf) for row in energy_rows]
+    cheapest = [min(row) for row in energy_rows]
     scored: list[list[GridPoint]] = [[] for _ in vth_grid]
     best: Optional[GridPoint] = None
     best_key = None
@@ -265,26 +258,3 @@ def compare_schemes(cfg: ScenarioConfig, n_grid: Sequence[int],
             energy_baseline=base, feasible=best is not None))
     return rows
 
-
-# --- CSV rendering -----------------------------------------------------------
-
-
-def format_cell(value) -> str:
-    """One CSV cell; floats carry 9 significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
-    return str(value)
-
-
-def render_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Deterministic CSV text with a mandatory header row."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"

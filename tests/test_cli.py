@@ -116,12 +116,13 @@ def test_energy_breakdown_rows(capsys):
 
 def test_energy_breakdown_writes_nothing_on_failure(capsys, monkeypatch,
                                                    tmp_path):
-    import ecopull.cli
+    import ecopull.energy
 
     def fail(*args):
         raise ValueError("no pass probability")
 
-    monkeypatch.setattr(ecopull.cli, "p_th", fail)
+    # the command looks p_th up on its module when it runs
+    monkeypatch.setattr(ecopull.energy, "p_th", fail)
     rc, _, err = run_cli(capsys, "energy-breakdown", "--out", str(tmp_path))
     assert rc == 2
     assert err == "invalid argument: no pass probability\n"

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -267,6 +268,20 @@ def test_optimize_rejects_bad_floor():
         optimize(cfg, 1.5)
 
 
+@pytest.mark.parametrize("grids, name", [
+    ({"rate_grid": ()}, "rate grid"),
+    ({"vth_grid": ()}, "threshold grid"),
+    ({"vth_grid": (), "rate_grid": ()}, "threshold grid"),
+])
+def test_optimize_rejects_an_empty_grid(grids, name):
+    # nothing scored is not "no point meets the floor"
+    cfg = load_config({"images_per_device": 8})
+    with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+        optimize(cfg, 0.8, **grids)
+    with pytest.raises(ValueError, match=f"{name} must be nonempty"):
+        compare_schemes(cfg, [5], 0.8, **grids)
+
+
 def test_compare_rows_and_ratio_consistency():
     cfg = load_config()
     rows = compare_schemes(cfg, [10, 30], 0.8, vth_grid=(0.55, 0.65, 0.75),
@@ -298,10 +313,21 @@ def test_svg_chart_is_well_formed():
         line_chart([])
 
 
+def _fresh_interpreter(code, *args):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
+            os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout.strip().splitlines()[-1]
+
+
 def test_commands_do_not_import_scipy_stats(tmp_path):
     # scipy.stats costs most of the package's import time; it must stay out
-    # of the import and of the score paths, not move into the first call
-    src = Path(__file__).resolve().parents[1] / "src"
+    # of the import and of the score paths, not move into the first call,
+    # also when one interpreter runs commands back to back
     code = (
         "import sys\n"
         "import ecopull, ecopull.cli\n"
@@ -311,48 +337,63 @@ def test_commands_do_not_import_scipy_stats(tmp_path):
         "assert ecopull.cli.main(['analyze', '--mode', 'exact', '--set',\n"
         "                         'images_per_device=10', '--out', out]) == 0\n"
         "print('scipy.stats' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
-            os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                          env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert done.stdout.strip().splitlines()[-1] == "False"
+    assert _fresh_interpreter(code, tmp_path) == "False"
 
 
-def _fresh_interpreter(code, out):
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(
-            os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
-                          capture_output=True, text=True, timeout=120,
-                          check=True)
-    return done.stdout.strip().splitlines()[-1]
+# what the setup code (import ecopull and ecopull.cli, load the default
+# config) loads, and what a command must not load on top of it
+_SETUP_MODULES = ["ecopull", "ecopull._tabular", "ecopull.cli",
+                  "ecopull.config", "ecopull.sifi"]
+_NOT_LOADED_BY = {
+    "simulate": {"ecopull.analytic", "ecopull.experiments",
+                 "ecopull.baselines", "ecopull.svgplot"},
+    "optimize": {"ecopull.sim", "ecopull.svgplot"},
+    "compare": {"ecopull.sim", "ecopull.svgplot"},
+    # a chart is drawn only when --format asks to write one
+    "sweep-sifi": {"ecopull.sim", "ecopull.svgplot"},
+}
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
     # the filtered masses, the incomplete beta, the normal tail and both
-    # score paths' log P(c) run on numpy, for a uniform and a Beta truth
+    # score paths' log P(c) run on numpy, for a uniform and a Beta truth;
+    # scipy.stats alone costs more than the package's whole import. Each
+    # command runs in its own fresh interpreter, so its ecopull modules
+    # are the ones it loads.
     beta = ["--set", "truth_distribution.kind=beta",
             "--set", "truth_distribution.alpha=2",
             "--set", "truth_distribution.beta=5"]
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "import ecopull, ecopull.cli\n"
         "ecopull.load_config(None)\n"
-        "out = sys.argv[1]\n"
-        "for argv in (['simulate', '--rounds', '50'], ['compare', '--n-grid', '5'],\n"
-        "             ['analyze', '--mode', 'exact', '--set', 'images_per_device=10'],\n"
-        "             ['analyze', '--mode', 'mcmc', '--samples', '200'],\n"
-        "             ['sweep-sifi', '--mode', 'mcmc', '--grid', '1.0,2.0',\n"
-        "              '--samples', '200'],\n"
-        "             ['energy-breakdown'], ['expected-energy'],\n"
-        f"             ['compare', '--n-grid', '5', *{beta!r}],\n"
-        f"             ['analyze', '--mode', 'exact', *{beta!r}]):\n"
-        "    assert ecopull.cli.main(argv + ['--out', out]) == 0, argv\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
-    assert _fresh_interpreter(code, tmp_path) == "[]"
+        "setup = sorted(m for m in sys.modules if m.startswith('ecopull'))\n"
+        "random = 'numpy.random' in sys.modules\n"
+        "argv = json.loads(sys.argv[2]) + ['--out', sys.argv[1]]\n"
+        "assert ecopull.cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.startswith(('ecopull', 'scipy')))\n"
+        "print(json.dumps([setup, random, loaded]))\n")
+    for argv in (["print-config"], ["simulate", "--rounds", "50"],
+                 ["compare", "--n-grid", "5"],
+                 ["optimize", "--set", "images_per_device=10"],
+                 ["analyze", "--mode", "exact", "--set",
+                  "images_per_device=10"],
+                 ["analyze", "--mode", "mcmc", "--samples", "200"],
+                 ["sweep-sifi", "--mode", "mcmc", "--grid", "1.0,2.0",
+                  "--samples", "200"],
+                 ["energy-breakdown"], ["expected-energy"],
+                 ["compare", "--n-grid", "5", *beta],
+                 ["analyze", "--mode", "exact", *beta]):
+        setup, random, loaded = json.loads(
+            _fresh_interpreter(code, tmp_path, json.dumps(argv)))
+        assert setup == _SETUP_MODULES
+        # only the simulator and the chain draw random numbers
+        assert not random
+        assert not [m for m in loaded if m.startswith("scipy")], argv
+        if argv[0] == "print-config":
+            assert loaded == _SETUP_MODULES
+        assert not set(loaded) & _NOT_LOADED_BY.get(argv[0], set()), argv
 
 
 def test_beta_truth_loads_no_scipy_stats(tmp_path):
