@@ -32,8 +32,7 @@ _EXPORTS = {
                "slots_for_rate"),
     "energy": ("communication_energy", "computation_energy",
                "expected_total_energy", "fixed_overhead_energy",
-               "gaussian_tail", "model_load_total", "p_th",
-               "per_relevant_image_energy"),
+               "model_load_total", "p_th", "per_relevant_image_energy"),
     "experiments": ("CompareRow", "GridPoint", "OptimizationResult",
                     "SweepRow", "compare_schemes", "default_rate_grid",
                     "default_vth_grid", "optimize", "sweep_sifi_vs_rate"),

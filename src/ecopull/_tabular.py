@@ -1,9 +1,9 @@
 """Parameter grids and deterministic CSV text.
 
 The command line parses every grid flag with :func:`grid` and writes every
-table with :func:`render_csv`; :mod:`ecopull.experiments` re-exports the
-three names. The module needs only numpy, so a command that writes a table
-loads no model code through it.
+table with :func:`render_csv`; :mod:`ecopull.experiments` builds its
+default grids with :func:`grid`. The module needs only numpy, so a command
+that writes a table loads no model code through it.
 """
 
 from __future__ import annotations

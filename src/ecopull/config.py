@@ -11,6 +11,7 @@ import warnings
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
 from functools import lru_cache, partial
+from numbers import Real
 from typing import (Any, Iterable, Mapping, Optional, Union, get_args,
                     get_origin, get_type_hints)
 
@@ -46,9 +47,56 @@ class ConfigError(ValueError):
     """Malformed configuration document or out-of-range field."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ConfigError(message)
+@lru_cache(maxsize=None)
+def _field_kinds(cls: type) -> dict[str, tuple[type, bool]]:
+    """Each field's annotated type, ``Optional`` unwrapped, and whether the
+    field is ``Optional``. The annotations here are evaluated (only the
+    ``sample`` methods quote ``np.random.Generator``, whose name would
+    import numpy.random), so reading them needs no string eval."""
+    hints = get_type_hints(cls)
+    kinds = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        optional = get_origin(kind) is Union
+        if optional:
+            kind = next(arg for arg in get_args(kind) if arg is not type(None))
+        kinds[f.name] = (kind, optional)
+    return kinds
+
+
+def _check_fields(config: Any) -> None:
+    """Check each field of a config dataclass against its annotation.
+
+    ``None`` passes only an ``Optional`` field. An ``int`` field holds a
+    Python ``int`` of at least 1, a ``float`` field a finite real number
+    (neither a ``bool``), any other field an instance of its class.
+    """
+    for name, (kind, optional) in _field_kinds(type(config)).items():
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if kind is float:
+            # a plain float skips the abstract Real test, ten times slower
+            if type(value) is not float and (
+                    isinstance(value, bool) or not isinstance(value, Real)):
+                problem = "must be a number"
+            else:
+                try:
+                    if math.isfinite(value):
+                        continue
+                except OverflowError:       # an integer past the float range
+                    pass
+                problem = "must be finite"
+        elif kind is int:
+            if (isinstance(value, int) and not isinstance(value, bool)
+                    and value >= 1):
+                continue
+            problem = "must be an integer >= 1"
+        elif isinstance(value, kind):
+            continue
+        else:
+            problem = f"must be a {kind.__name__}"
+        raise ConfigError(f"{name}={value!r} {problem}")
 
 
 @dataclass(frozen=True)
@@ -60,10 +108,7 @@ class ImageGeometry:
     width: int = 480
 
     def __post_init__(self) -> None:
-        for name in ("channels", "height", "width"):
-            value = getattr(self, name)
-            _require(isinstance(value, int) and value > 0,
-                     f"image.{name}={value!r} must be a positive integer")
+        _check_fields(self)
 
     @property
     def pixels(self) -> int:
@@ -83,9 +128,11 @@ class RadioProfile:
     rate: float = 1e5                # bits/s, both link directions
 
     def __post_init__(self) -> None:
-        _require(self.tx_power > 0, f"radio.tx_power={self.tx_power} must be > 0")
-        _require(self.rx_power > 0, f"radio.rx_power={self.rx_power} must be > 0")
-        _require(self.rate > 0, f"radio.rate={self.rate} must be > 0")
+        _check_fields(self)
+        for name in ("tx_power", "rx_power", "rate"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name}={value} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -98,13 +145,10 @@ class HardwareProfile:
     parallelism: int = 128     # parallel MUAC units
 
     def __post_init__(self) -> None:
-        for name in ("full_precision", "sram_bits", "muac_bits", "parallelism"):
-            value = getattr(self, name)
-            _require(isinstance(value, int) and value > 0,
-                     f"hw.{name}={value!r} must be a positive integer")
-        _require(self.sram_bits <= self.full_precision,
-                 f"hw.sram_bits={self.sram_bits} must not exceed "
-                 f"full_precision={self.full_precision}")
+        _check_fields(self)
+        if self.sram_bits > self.full_precision:
+            raise ConfigError(f"hw.sram_bits={self.sram_bits} must not exceed "
+                              f"full_precision={self.full_precision}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +158,7 @@ class ModelCost:
     ``complexity`` counts MUAC operations, ``size`` counts weights and biases,
     ``activations`` counts activation values over the whole network.
     ``tx_bits`` is the per-weight quantization used when the model itself is
-    sent over the air (set only for models the devices receive per query).
+    sent over the air; only the behavior model is, so only it sets one.
     """
 
     complexity: float
@@ -123,12 +167,11 @@ class ModelCost:
     tx_bits: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         for name in ("complexity", "size", "activations"):
             value = getattr(self, name)
-            _require(value >= 0, f"model.{name}={value} must be >= 0")
-        if self.tx_bits is not None:
-            _require(isinstance(self.tx_bits, int) and self.tx_bits > 0,
-                     f"model.tx_bits={self.tx_bits!r} must be a positive integer")
+            if not value >= 0:
+                raise ConfigError(f"{name}={value} must be >= 0")
 
 
 class TruthDistribution:
@@ -152,13 +195,16 @@ class TruthDistribution:
     def sample(self, rng: "np.random.Generator", size=None):
         raise NotImplementedError
 
-    def validate(self, atol: float = 1e-9) -> None:
+    def validate(self) -> None:
         """Check that the CDF runs from 0 at 0 to 1 at 1 without falling."""
-        _require(abs(self.cdf(0.0)) <= atol, "truth_distribution cdf(0) != 0")
-        _require(abs(self.cdf(1.0) - 1.0) <= atol, "truth_distribution cdf(1) != 1")
+        atol = 1e-9     # how far the CDF may stray below 0, above 1, downhill
+        if not abs(self.cdf(0.0)) <= atol:
+            raise ConfigError("truth_distribution cdf(0) != 0")
+        if not abs(self.cdf(1.0) - 1.0) <= atol:
+            raise ConfigError("truth_distribution cdf(1) != 1")
         values = np.asarray(self.cdf(np.linspace(0.0, 1.0, 257)))
-        _require(bool(np.all(np.diff(values) >= -atol)),
-                 "truth_distribution cdf is not nondecreasing")
+        if not np.all(np.diff(values) >= -atol):
+            raise ConfigError("truth_distribution cdf is not nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -236,9 +282,11 @@ class BetaTruth(TruthDistribution):
     kind = "beta"
 
     def __post_init__(self) -> None:
-        _require(0 < self.alpha < math.inf and 0 < self.beta < math.inf,
-                 "truth_distribution beta shape parameters must be finite "
-                 "and > 0")
+        _check_fields(self)
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ConfigError(f"{name}={value} must be > 0 (a beta shape)")
         super().__post_init__()
 
     def cdf(self, beta):
@@ -304,54 +352,34 @@ class ScenarioConfig:
     truth_distribution: TruthDistribution = field(default_factory=UniformTruth)
 
     def __post_init__(self) -> None:
-        _require(isinstance(self.device_count, int) and self.device_count >= 1,
-                 f"device_count={self.device_count!r} must be an integer >= 1")
-        _require(isinstance(self.images_per_device, int)
-                 and self.images_per_device >= 1,
-                 f"images_per_device={self.images_per_device!r} must be an "
-                 f"integer >= 1")
+        _check_fields(self)
         for name in ("relevance_threshold", "truth_threshold", "penalty"):
             value = getattr(self, name)
-            _require(0.0 <= value <= 1.0,
-                     f"{name}={value} outside [0, 1]")
-        _require(self.compression_rate > 0,
-                 f"compression_rate={self.compression_rate} must be > 0")
-        _warn_if_penalty_below_distance(self.penalty, self.compression_rate,
-                                        stacklevel=4)
-        _require(isinstance(self.query_length, int) and self.query_length >= 1,
-                 f"query_length={self.query_length!r} must be an integer >= 1")
-        if self.slots_per_frame is not None:
-            _require(isinstance(self.slots_per_frame, int)
-                     and self.slots_per_frame >= 1,
-                     f"slots_per_frame={self.slots_per_frame!r} must be an "
-                     f"integer >= 1")
-        elif self.slot_coefficient is None:
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name}={value} outside [0, 1]")
+        rate = self.compression_rate
+        if not rate > 0:
+            raise ConfigError(f"compression_rate={rate} must be > 0")
+        _warn_if_penalty_below_distance(self.penalty, rate, stacklevel=4)
+        if self.slots_per_frame is None and self.slot_coefficient is None:
             raise ConfigError(
                 "one of slots_per_frame / slot_coefficient must be set")
-        if self.slot_coefficient is not None:
-            _require(isinstance(self.slot_coefficient, int)
-                     and self.slot_coefficient >= 1,
-                     f"slot_coefficient={self.slot_coefficient!r} must be an "
-                     f"integer >= 1")
-        if self.fixed_frames is not None:
-            _require(isinstance(self.fixed_frames, int) and self.fixed_frames >= 1,
-                     f"fixed_frames={self.fixed_frames!r} must be an integer >= 1")
-
-        _require(self.behavior_model.tx_bits is not None,
-                 "behavior_model.tx_bits must be set (the model is sent "
-                 "over the air)")
-        _require(self.behavior_model.tx_bits
-                 <= self.behavior_hw.full_precision,
-                 f"behavior_model.tx_bits={self.behavior_model.tx_bits} must "
-                 f"not exceed full_precision={self.behavior_hw.full_precision}")
+        tx_bits = self.behavior_model.tx_bits
+        if self.compressor_model.tx_bits is not None:
+            raise ConfigError(
+                f"compressor_model.tx_bits={self.compressor_model.tx_bits} "
+                f"must not be set (only the behavior model is sent)")
+        if tx_bits is None:
+            raise ConfigError("behavior_model.tx_bits must be set (the model "
+                              "is sent over the air)")
+        if tx_bits > self.behavior_hw.full_precision:
+            raise ConfigError(
+                f"behavior_model.tx_bits={tx_bits} must not exceed "
+                f"full_precision={self.behavior_hw.full_precision}")
         if self.model_noise is None:
-            object.__setattr__(self, "model_noise",
-                               1.0 / self.behavior_model.tx_bits)
-        _require(self.model_noise > 0,
-                 f"model_noise={self.model_noise} must be > 0")
-
-        # force L resolution errors to surface at construction time
-        self.frame_slots()
+            object.__setattr__(self, "model_noise", 1.0 / tx_bits)
+        if not self.model_noise > 0:
+            raise ConfigError(f"model_noise={self.model_noise} must be > 0")
 
     def frame_slots(self, rate: Optional[float] = None) -> int:
         """Resolved slots per frame (explicit value, else derived from rate).
@@ -361,7 +389,8 @@ class ScenarioConfig:
         """
         if rate is None:
             rate = self.compression_rate
-        _require(rate > 0, f"compression_rate={rate} must be > 0")
+        if not rate > 0:
+            raise ConfigError(f"compression_rate={rate} must be > 0")
         if self.slots_per_frame is not None:
             return self.slots_per_frame
         return slots_for_rate(rate, self.slot_coefficient)
@@ -381,48 +410,22 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
 
 # --- configuration document handling ---------------------------------------
 #
-# The dataclass annotations are the document schema: a leaf is coerced to
-# its annotated int, float or bool (None only where it is Optional), a
-# nested mapping updates the ScenarioConfig field's own default, and a
-# truth_distribution mapping builds the class its "kind" names. This module
-# keeps its field annotations evaluated, so reading them needs no string
-# eval. Only the ``sample`` methods quote ``np.random.Generator``: that
-# name would import numpy.random, which only the simulator uses.
+# A document is built by the same constructors as any config: a leaf goes
+# to its field as it is, save that a JSON number becomes its field's int or
+# float, a nested mapping updates the ScenarioConfig field's own default,
+# and a truth_distribution mapping builds the class its "kind" names.
 
 
-@lru_cache(maxsize=None)
-def _field_hints(cls: type) -> dict[str, Any]:
-    hints = get_type_hints(cls)
-    return {f.name: hints[f.name] for f in fields(cls)}
-
-
-def _coerce_leaf(name: str, value: Any, target: Any) -> Any:
-    if get_origin(target) is Union:                 # Optional[X]
-        if value is None:
-            return None
-        target = next(arg for arg in get_args(target) if arg is not type(None))
-    if target is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{name}={value!r} must be a boolean")
-    if target is int:
-        if isinstance(value, bool):
-            raise ConfigError(f"{name}={value!r} must be an integer")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        raise ConfigError(f"{name}={value!r} must be an integer")
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{name}={value!r} must be a number")
+def _coerce_leaf(value: Any, kind: type) -> Any:
+    """A JSON number as its field's ``int`` or ``float``; the field check
+    judges every value."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if kind is float and type(value) is int:
         try:
-            number = float(value)
+            return float(value)
         except OverflowError:           # an integer past the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{name}={value!r} must be finite")
-        return number
+            return math.inf
     return value
 
 
@@ -431,25 +434,27 @@ def _build(cls: type, spec: Any, path: str = "", base: Any = None) -> Any:
     if not isinstance(spec, Mapping):
         raise ConfigError(f"{path or 'configuration document'} must be a "
                           f"mapping")
-    hints = _field_hints(cls)
+    kinds = _field_kinds(cls)
     kwargs = {}
     for key, raw in spec.items():
         name = f"{path}.{key}" if path else key
-        if key not in hints:
+        if key not in kinds:
             raise ConfigError(f"unknown field {name}")
-        target = hints[key]
-        if target is TruthDistribution:
+        kind = kinds[key][0]
+        if kind is TruthDistribution:
             kwargs[key] = _build_truth(raw, name)
-        elif is_dataclass(target):
+        elif is_dataclass(kind):
             default = cls.__dataclass_fields__[key].default_factory()
-            kwargs[key] = _build(target, raw, name, default)
+            kwargs[key] = _build(kind, raw, name, default)
         else:
-            kwargs[key] = _coerce_leaf(name, raw, target)
+            kwargs[key] = _coerce_leaf(raw, kind)
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
         message = str(exc)
-        if not message.startswith(path):       # name the field once
+        if path and message.partition("=")[0] in kinds:
+            message = f"{path}.{message}"      # a field's own message
+        elif not message.startswith(path):     # name the field once
             message = f"{path}: {message}"
         raise ConfigError(message) from exc
 
@@ -501,9 +506,9 @@ def save_config(cfg: ScenarioConfig) -> dict:
     return out
 
 
-def dump_config(cfg: ScenarioConfig, indent: int = 2) -> str:
+def dump_config(cfg: ScenarioConfig) -> str:
     """Config as a JSON document; round-trips exactly through load_config."""
-    return json.dumps(save_config(cfg), indent=indent)
+    return json.dumps(save_config(cfg), indent=2)
 
 
 def apply_overrides(spec: dict, assignments: Iterable[str]) -> dict:

@@ -20,7 +20,6 @@ from .config import ScenarioConfig, TruthDistribution, _betainc, packet_bits
 from .hardware import inference_energy, model_load_energy
 
 __all__ = [
-    "gaussian_tail",
     "computation_energy",
     "communication_energy",
     "model_load_total",
@@ -30,15 +29,6 @@ __all__ = [
     "expected_total_energy",
     "expected_energy_grid",
 ]
-
-
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
-
-def gaussian_tail(x):
-    """Standard normal upper-tail probability Q(x)."""
-    z = np.asarray(x, dtype=float) / math.sqrt(2.0)
-    return 0.5 * np.asarray(_erfc(z), dtype=float)
 
 
 @lru_cache(maxsize=4)

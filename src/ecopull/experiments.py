@@ -15,9 +15,9 @@ threshold's quadratures and sums over loads between them. The thresholds
 share one binomial law and the energy's and score's per-size constants;
 no config is built per threshold. Rate sweeps in
 ``mcmc`` mode run one Metropolis chain per grid point with the sweep's
-seed; only a sweep that simulates imports the simulator. :func:`grid`,
-:func:`format_cell` and :func:`render_csv` live in ``ecopull._tabular``
-and are re-exported here.
+seed; only a sweep that simulates imports the simulator. The default
+grids come from ``ecopull._tabular.grid``; the CSV writer lives there too
+and is exported as ``ecopull.render_csv``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ._binomial import saddle_logpmf
-from ._tabular import format_cell, grid, render_csv
+from ._tabular import grid
 from .analytic import ScoreRows, expected_sifi_over_rates, mcmc_expected_sifi
 from .baselines import baseline_energy, energy_saving_ratio, tinyairnet_energy
 from .config import ScenarioConfig, _warn_if_penalty_below_distance
@@ -39,13 +39,10 @@ __all__ = [
     "OptimizationResult",
     "CompareRow",
     "sweep_sifi_vs_rate",
-    "grid",
     "default_vth_grid",
     "default_rate_grid",
     "optimize",
     "compare_schemes",
-    "format_cell",
-    "render_csv",
 ]
 
 

@@ -255,6 +255,13 @@ def test_config_errors_exit_code(capsys):
     assert "configuration error" in err
 
 
+def test_nested_field_error_names_the_dotted_field(capsys):
+    rc, out, err = run_cli(capsys, "print-config", "--set",
+                           "compressor_hw.sram_bits=0")
+    assert rc == 2 and out == ""
+    assert "compressor_hw.sram_bits=0 must be an integer >= 1" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--rounds", "0"],
     ["analyze", "--samples", "0"],

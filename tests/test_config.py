@@ -2,14 +2,17 @@ import dataclasses
 import json
 import math
 import re
+from typing import Optional, get_type_hints
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from ecopull import (BetaTruth, ConfigError, TruthDistribution, UniformTruth,
-                     apply_overrides, dump_config, load_config, packet_bits,
-                     save_config, slots_for_rate)
+from ecopull import (BetaTruth, ConfigError, HardwareProfile, ImageGeometry,
+                     ModelCost, RadioProfile, ScenarioConfig,
+                     TruthDistribution, UniformTruth, apply_overrides,
+                     dump_config, load_config, packet_bits, save_config,
+                     slots_for_rate)
 
 
 def test_empty_document_gives_experiment_defaults():
@@ -265,3 +268,93 @@ def test_none_rejected_where_the_field_is_not_optional():
 def test_nested_error_names_the_field():
     with pytest.raises(ConfigError, match="compressor_hw: hw.sram_bits"):
         load_config({"compressor_hw": {"sram_bits": 32}})
+
+
+# one instance of each config dataclass, with its document path
+DEFAULT = load_config()
+INSTANCES = [
+    ("", DEFAULT),
+    ("image", DEFAULT.image),
+    ("radio", DEFAULT.radio),
+    ("compressor_hw", DEFAULT.compressor_hw),
+    ("behavior_model", DEFAULT.behavior_model),
+    ("truth_distribution", BetaTruth(2.0, 5.0)),
+]
+NUMERIC = {int: False, float: False, Optional[int]: True,
+           Optional[float]: True}        # annotation -> Optional
+
+
+def _bad_values():
+    # every int and float field, as the schema declares them
+    for path, instance in INSTANCES:
+        hints = get_type_hints(type(instance))
+        for f in dataclasses.fields(instance):
+            if hints[f.name] not in NUMERIC:
+                continue
+            values = [True, math.inf, math.nan, "x"]
+            if not NUMERIC[hints[f.name]]:
+                values.append(None)
+            for value in values:
+                yield pytest.param(path, instance, f.name, value,
+                                   id=f"{path or 'scenario'}.{f.name}="
+                                      f"{value!r}")
+
+
+BAD_VALUES = list(_bad_values())
+
+
+def test_the_schema_walk_reaches_every_class():
+    assert {type(param.values[1]) for param in BAD_VALUES} == {
+        ScenarioConfig, ImageGeometry, RadioProfile, HardwareProfile,
+        ModelCost, BetaTruth}
+
+
+@pytest.mark.parametrize("path, instance, name, value", BAD_VALUES)
+def test_document_field_check_names_the_dotted_field(path, instance, name,
+                                                     value):
+    if path == "truth_distribution":
+        spec = {path: {"kind": "beta", "alpha": 2.0, "beta": 5.0,
+                       name: value}}
+    else:
+        spec = {path: {name: value}} if path else {name: value}
+    dotted = f"{path}.{name}" if path else name
+    with pytest.raises(ConfigError, match=rf"^{re.escape(dotted)}="):
+        load_config(spec)
+
+
+@pytest.mark.parametrize("path, instance, name, value", BAD_VALUES)
+def test_replace_runs_the_same_field_check(path, instance, name, value):
+    # a replaced config once skipped the document's type and finiteness
+    # checks: compression_rate=inf built and scored nan
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)}="):
+        dataclasses.replace(instance, **{name: value})
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: RadioProfile(rate=math.inf), "rate"),
+    (lambda: RadioProfile(rate=10 ** 400), "rate"),
+    (lambda: ModelCost(complexity=math.nan, size=1, activations=1),
+     "complexity"),
+    (lambda: BetaTruth(math.inf, 2.0), "alpha"),
+    (lambda: ImageGeometry(height=2.0), "height"),
+    (lambda: dataclasses.replace(DEFAULT, radio=None), "radio"),
+], ids=["inf", "huge-int", "nan", "beta", "float-for-int", "nested-none"])
+def test_constructors_check_fields(build, name):
+    with pytest.raises(ConfigError, match=rf"^{name}="):
+        build()
+
+
+def test_numpy_and_integer_floats_are_accepted():
+    radio = RadioProfile(tx_power=np.float32(0.5), rx_power=1, rate=1e4)
+    assert radio.tx_power == np.float32(0.5) and radio.rx_power == 1
+
+
+def test_compressor_tx_bits_rejected():
+    # only the behavior model is sent over the air, so no path read the
+    # compressor's tx_bits: it was accepted and ignored
+    with pytest.raises(ConfigError, match=r"^compressor_model\.tx_bits=4 "):
+        load_config({"compressor_model": {"tx_bits": 4}})
+    with pytest.raises(ConfigError, match=r"^compressor_model\.tx_bits="):
+        dataclasses.replace(DEFAULT, compressor_model=dataclasses.replace(
+            DEFAULT.compressor_model, tx_bits=8))
+    assert load_config({"compressor_model": {"tx_bits": None}}) == DEFAULT

@@ -13,11 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import betainc, betaincc
-from scipy.stats import norm
 
 from ecopull import BetaTruth, UniformTruth, cli, p_th
 from ecopull.config import _betainc
-from ecopull.energy import _filtered_mass, gaussian_tail, quad_interval
+from ecopull.energy import _filtered_mass, quad_interval
 from reference import filtered_mass_reference
 
 TOL = 1e-12
@@ -178,9 +177,3 @@ def test_refined_p_th_matches_a_tight_reference():
         reference = filtered_mass_reference(threshold, 0.125, None, 0.0)
         assert abs(p_th(threshold, 0.125, UniformTruth())
                    - float(reference)) <= 1e-15
-
-
-def test_gaussian_tail_is_the_normal_upper_tail():
-    x = np.linspace(-8.0, 37.0, 901)
-    np.testing.assert_allclose(gaussian_tail(x), norm.sf(x), rtol=1e-12)
-    assert gaussian_tail(0.0) == 0.5
