@@ -2,19 +2,19 @@
 
 Neither ``scipy.stats`` nor ``scipy.special`` is imported with this
 module: together they cost more than the rest of the package's import.
-Each function returns the values for every load ``k = 0..n`` at once,
-and for an array of ``p`` one such row per ``p``: a grid over thresholds
-reads one law with a row per pass probability. Each row is bitwise the
-call with its ``p`` alone, whatever the other rows hold.
+:func:`saddle_logpmf` returns the values for every load ``k = 0..n`` at
+once, and for an array of ``p`` one such row per ``p``: a grid over
+thresholds reads one law with a row per pass probability. Each row is
+bitwise the call with its ``p`` alone, whatever the other rows hold.
 
-:func:`saddle_logpmf` is Loader's saddle-point method (C. Loader, "Fast and
-Accurate Computation of Binomial Probabilities", 2000; R's ``dbinom``) in
-log form, and :func:`pmf` is its ``exp``: within 1e-14 of the exact value
-where that exceeds 1e-6 (within 2e-13 down to 1e-278), where the
-log-gamma form ``scipy.stats.binom.logpmf`` evaluates loses ~1e-12 to
-cancellation at large ``n``; it underflows only where the probability
-itself does, and the log form stays finite there. Both the closed form
-and the Metropolis chain read this one law.
+It is Loader's saddle-point method (C. Loader, "Fast and Accurate
+Computation of Binomial Probabilities", 2000; R's ``dbinom``) in log
+form. Its ``exp`` is within 1e-14 of the exact value where that exceeds
+1e-6 (within 2e-13 down to 1e-278), where the log-gamma form
+``scipy.stats.binom.logpmf`` evaluates loses ~1e-12 to cancellation at
+large ``n``; it underflows only where the probability itself does, and
+the log form stays finite there. Both the closed form and the Metropolis
+chain read this one law.
 """
 
 from __future__ import annotations
@@ -49,10 +49,11 @@ _S2 = 1.0 / 1260.0
 _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
 _LOG_2PI = math.log(2.0 * math.pi)
-# the deviance series below runs where |v| < 0.1; the terms it drops are
+# the deviance series below runs where |v| < 0.1, on every row to the
+# least number of terms t with 0.1^(2t) <= 2^-56: the terms it drops are
 # below 2^-56 of its leading one
 _SERIES_CUT = 0.1
-_SERIES_EPS = 2.0 ** -56
+_SERIES_TERMS = 9
 
 
 def _stirlerr(n: int) -> np.ndarray:
@@ -63,23 +64,14 @@ def _stirlerr(n: int) -> np.ndarray:
     return np.concatenate((_STIRLERR[1:n + 1], series))
 
 
-def _series_terms(largest: float) -> int:
-    # the least t >= 1 with largest^t <= 2^-56
-    terms = 1
-    while largest ** terms > _SERIES_EPS:
-        terms += 1
-    return terms
-
-
 def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """Deviance ``x log(x/mean) + mean - x`` for ``x, mean > 0``: one row
     per entry of the column ``mean``.
 
     Near ``x = mean`` the direct form cancels; there it is the series
     ``(x - mean) v + 2 x sum_j v^(2j+1) / (2j+1)`` in
-    ``v = (x - mean) / (x + mean)``, summed by Horner's rule. Each row
-    takes the terms its own largest near ``v^2`` needs, so no row depends
-    on the others; the rows that take the same count share one recurrence.
+    ``v = (x - mean) / (x + mean)``, summed by Horner's rule to
+    ``_SERIES_TERMS`` terms on every row, so no row depends on the others.
     """
     diff = x - mean
     direct = x * np.log(x / mean) - diff
@@ -88,26 +80,12 @@ def _bd0(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     if not near.any():
         return direct
     v2 = v * v
-    counts = [_series_terms(value) for value
-              in v2.max(axis=1, where=near, initial=0.0).tolist()]
-    groups = set(counts)
-    if len(groups) == 1:
-        acc = _horner(v2, counts[0])
-    else:
-        acc = np.empty_like(v2)
-        for terms in groups:
-            rows = np.equal(counts, terms)
-            acc[rows] = _horner(v2[rows], terms)
+    # sum_{j<terms} v^(2j) / (2j+3), the series' factor after its first term
+    acc = 1.0 / (2 * _SERIES_TERMS + 1)
+    for j in range(_SERIES_TERMS - 1, 0, -1):
+        acc = 1.0 / (2 * j + 1) + v2 * acc
     series = diff * v + 2.0 * x * v * (v2 * acc)
     return np.where(near, series, direct)
-
-
-def _horner(v2: np.ndarray, terms: int):
-    # sum_{j<terms} v^(2j) / (2j+3), the series' factor after its first term
-    acc = 1.0 / (2 * terms + 1)
-    for j in range(terms - 1, 0, -1):
-        acc = 1.0 / (2 * j + 1) + v2 * acc
-    return acc
 
 
 # rows of the law are computed this many entries at a time, which bounds
@@ -134,17 +112,16 @@ def saddle_logpmf(n: int, p) -> np.ndarray:
 
 def _fill_logpmf(n: int, rows: np.ndarray, log_p: np.ndarray) -> None:
     # one row of the law per entry of rows, into log_p
-    probabilities = rows.tolist()
     # no trial, or a sure outcome: all the mass on one load
-    degenerate = [row for row, p in enumerate(probabilities)
-                  if n == 0 or p == 0.0 or p == 1.0]
-    if len(degenerate) < len(rows):
-        # a degenerate row is computed at p = 1/2, then overwritten
-        _fill_regular(n, np.where((rows == 0.0) | (rows == 1.0), 0.5, rows)
-                      if degenerate else rows, log_p)
-    for row in degenerate:
-        log_p[row] = -math.inf
-        log_p[row, n if probabilities[row] == 1.0 else 0] = 0.0
+    sure = (rows == 0.0) | (rows == 1.0) if n else np.ones(len(rows), bool)
+    count = np.count_nonzero(sure)
+    if count < len(rows):
+        # a sure row is computed at p = 1/2, then overwritten
+        _fill_regular(n, np.where(sure, 0.5, rows) if count else rows, log_p)
+    if count:
+        sure = np.flatnonzero(sure)
+        log_p[sure] = -math.inf
+        log_p[sure, np.where(rows[sure] == 1.0, n, 0)] = 0.0
 
 
 def _fill_regular(n: int, p: np.ndarray, log_p: np.ndarray) -> None:
@@ -153,15 +130,11 @@ def _fill_regular(n: int, p: np.ndarray, log_p: np.ndarray) -> None:
     up = np.arange(1, n + 1, dtype=float)
     # dev_p[:, k-1] = bd0(k, np) and dev_q[:, k] = bd0(n-k, nq), for
     # k = 1..n and k = 0..n-1: the end points' terms come with the interior's
-    dev_p = _bd0(up, (n * p)[:, None])
-    dev_q = _bd0(up[::-1], (n * q)[:, None])
-    for row, (p_row, q_row, first, last) in enumerate(zip(
-            p.tolist(), q.tolist(), dev_q[:, 0].tolist(),
-            dev_p[:, -1].tolist())):
-        log_p[row, 0] = (-first - n * p_row if p_row < 0.1
-                         else n * math.log(q_row))
-        log_p[row, n] = (-last - n * q_row if q_row < 0.1
-                         else n * math.log(p_row))
+    mean_p, mean_q = n * p, n * q
+    dev_p = _bd0(up, mean_p[:, None])
+    dev_q = _bd0(up[::-1], mean_q[:, None])
+    log_p[:, 0] = np.where(p < 0.1, -dev_q[:, 0] - mean_p, n * _log(q))
+    log_p[:, n] = np.where(q < 0.1, -dev_p[:, -1] - mean_q, n * _log(p))
     if n > 1:
         x = up[:-1]
         stirlerr = _stirlerr(n)
@@ -173,7 +146,7 @@ def _fill_regular(n: int, p: np.ndarray, log_p: np.ndarray) -> None:
         log_p[:, 1:n] = lc - 0.5 * lf
 
 
-def pmf(n: int, p) -> np.ndarray:
-    """``P(Bin(n, p) = k)`` for ``k = 0..n`` by Loader's saddle-point
-    method, one row per entry of an array ``p``."""
-    return np.exp(saddle_logpmf(n, p))
+def _log(values: np.ndarray) -> np.ndarray:
+    # math.log, not np.log: np.log's vector path differs from the C
+    # library's log in the last bit on some inputs and hosts
+    return np.fromiter(map(math.log, values.tolist()), float, len(values))

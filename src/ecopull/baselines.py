@@ -3,14 +3,15 @@
 The plain scheme sends every image PNG-compressed in reserved, collision-free
 slots and runs no ML at all. The filter-only scheme receives the query and
 the behavior model, stages and runs the model, then sends PNG-compressed
-images for the expected fraction that clears the threshold; collisions do
-not change its energy because attempted transmissions are what cost power.
+the images that clear the threshold, one per frame as an EcoPull device
+does, so at most ``fixed_frames`` of them; collisions do not change its
+energy because attempted transmissions are what cost power.
 """
 
 from __future__ import annotations
 
 from .config import PNG_BPP, ScenarioConfig, packet_bits
-from .energy import communication_energy, p_th
+from .energy import _mean_sent, communication_energy, p_th
 from .hardware import inference_energy, model_load_energy
 
 __all__ = [
@@ -36,8 +37,11 @@ def tinyairnet_energy(cfg: ScenarioConfig) -> float:
     energy += communication_energy(cfg, 0)
     pass_probability = p_th(cfg.relevance_threshold, cfg.model_noise,
                             cfg.truth_distribution)
-    energy += (cfg.images_per_device * pass_probability * cfg.radio.tx_power
-               * packet_bits(cfg, PNG_BPP) / cfg.radio.rate)
+    capped = _mean_sent(cfg, (pass_probability,))
+    sent = (cfg.images_per_device * pass_probability if capped is None
+            else capped[0])
+    energy += (sent * cfg.radio.tx_power * packet_bits(cfg, PNG_BPP)
+               / cfg.radio.rate)
     return energy
 
 

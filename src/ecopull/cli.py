@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -83,8 +83,6 @@ def _add_sweep(cmd: argparse.ArgumentParser) -> None:
 
 def _add_optimize(cmd: argparse.ArgumentParser) -> None:
     cmd.add_argument("--gamma-th", type=float, default=0.8)
-    cmd.add_argument("--images", type=int, default=None,
-                     help="override images per device for the search")
     cmd.add_argument("--samples", type=int, default=10_000,
                      help=_UNUSED_SAMPLES)
     cmd.add_argument("--full-grid", action="store_true",
@@ -244,8 +242,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_optimize(args) -> int:
     from .experiments import GridPoint, optimize
     cfg = _load(args)
-    if args.images is not None:
-        cfg = replace(cfg, images_per_device=args.images)
     result = optimize(cfg, args.gamma_th, full_grid=args.full_grid)
     header = ["feasible", "relevance_threshold", "rate", "slots", "sifi",
               "expected_energy", "gamma_th"]

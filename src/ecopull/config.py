@@ -69,7 +69,8 @@ def _check_fields(config: Any) -> None:
 
     ``None`` passes only an ``Optional`` field. An ``int`` field holds a
     Python ``int`` of at least 1, a ``float`` field a finite real number
-    (neither a ``bool``), any other field an instance of its class.
+    (neither a ``bool``), stored as a Python ``float`` so that every path,
+    JSON too, takes it alike, and any other field an instance of its class.
     """
     for name, (kind, optional) in _field_kinds(type(config)).items():
         value = getattr(config, name)
@@ -83,6 +84,8 @@ def _check_fields(config: Any) -> None:
             else:
                 try:
                     if math.isfinite(value):
+                        if type(value) is not float:
+                            object.__setattr__(config, name, float(value))
                         continue
                 except OverflowError:       # an integer past the float range
                     pass

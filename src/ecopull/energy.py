@@ -222,6 +222,30 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
     raise ValueError(f"no filtered mass for truth kind {truth.kind!r}")
 
 
+def _mean_sent(cfg: ScenarioConfig, pass_probabilities: Sequence[float],
+               log_law: Optional[np.ndarray] = None
+               ) -> Optional[list[float]]:
+    """Mean count of images a device sends, one per pass probability; None
+    where ``fixed_frames`` caps nothing (None, or at least N), as the mean
+    is then ``N p``.
+
+    Of its ``c ~ Bin(N, p)`` passed images a device sends one per frame,
+    ``min(c, F)`` in all under a cap ``F``, as the simulator does. Its mean
+    is ``F - sum_{c<F} (F - c) P(c)``: only loads below the cap send fewer
+    than F images. ``log_law`` holds ``saddle_logpmf(N,
+    pass_probabilities)`` when the caller has it; otherwise a cap below N
+    computes it, once for all rows.
+    """
+    n, frames = cfg.images_per_device, cfg.fixed_frames
+    if frames is None or frames >= n:
+        return None
+    if log_law is None:
+        log_law = _binomial.saddle_logpmf(n, pass_probabilities)
+    shortfall = frames - np.arange(frames)
+    return [frames - float(np.dot(shortfall, np.exp(row[:frames])))
+            for row in log_law]
+
+
 def expected_energy_grid(cfg: ScenarioConfig,
                          pass_probabilities: Sequence[float],
                          rates: Sequence[float],
@@ -232,34 +256,22 @@ def expected_energy_grid(cfg: ScenarioConfig,
 
     The fixed overhead, the compression energy and each rate's uplink
     packet are computed once; a row takes only its pass probability and,
-    under ``fixed_frames``, its mean sent count. ``log_law`` holds
-    ``saddle_logpmf(N, pass_probabilities)`` when the caller has it;
-    otherwise a cap below N computes it, once for all rows. Each value is
-    bitwise :func:`expected_total_energy` of ``cfg`` at that threshold and
-    rate.
+    under ``fixed_frames``, its mean sent count (``log_law`` as for
+    :func:`_mean_sent`). Each value is bitwise
+    :func:`expected_total_energy` of ``cfg`` at that threshold and rate.
 
-    A device compresses all ``c ~ Bin(N, p_th)`` of its passed images but,
-    under ``fixed_frames`` ``F``, sends one per frame, ``min(c, F)`` in
-    all, as the simulator does. Its mean is ``F - sum_{c<F} (F - c) P(c)``:
-    only loads below the cap send fewer than F images.
+    A device compresses all ``c ~ Bin(N, p_th)`` of its passed images and
+    sends ``min(c, F)`` of them under a cap ``F``; a cap at or above N is
+    no cap, bit for bit.
     """
     overhead = fixed_overhead_energy(cfg)
     compress = _compression_energy(cfg)
     uplinks = np.array([_uplink_energy(cfg, rate) for rate in rates])
-    n = cfg.images_per_device
-    loads = n * np.array(pass_probabilities, dtype=float)
-    frames = cfg.fixed_frames
-    if frames is None:
+    loads = cfg.images_per_device * np.array(pass_probabilities, dtype=float)
+    sent = _mean_sent(cfg, pass_probabilities, log_law)
+    if sent is None:
         energies = np.multiply.outer(loads, compress + uplinks) + overhead
     else:
-        if frames >= n:
-            sent = loads
-        else:
-            if log_law is None:
-                log_law = _binomial.saddle_logpmf(n, pass_probabilities)
-            shortfall = frames - np.arange(frames)
-            sent = [frames - float(np.dot(shortfall, np.exp(row[:frames])))
-                    for row in log_law]
         energies = ((loads * compress)[:, None]
                     + np.multiply.outer(sent, uplinks) + overhead)
     return energies.tolist()

@@ -337,7 +337,7 @@ def test_closed_form_memory_stays_bounded_at_huge_libraries(tmp_path):
 def test_grid_search_memory_stays_bounded_at_huge_libraries(tmp_path):
     # the search holds one law row per threshold, 31 x (N + 1), beside the
     # closed form's (node, load) arrays: neither may grow with the grid
-    argv = ["optimize", "--images", "40000"]
+    argv = ["optimize", "--set", "images_per_device=40000"]
     assert _peak_rss_kb(argv, tmp_path) < 200 * 1024
 
 
@@ -434,6 +434,18 @@ def test_hastings_mode_removes_proposal_bias():
     corrected = [mcmc_expected_sifi(cfg, 60_000, s, hastings=True).estimate
                  for s in (1, 2, 3)]
     assert abs(np.mean(corrected) - exact) < 0.005
+
+
+def test_plain_ratio_chain_keeps_the_proposal_bias():
+    # the paper's plain ratio ignores the proposal's asymmetry, so it
+    # samples another law: here it reads about 0.86 where the score is 0.821
+    cfg = cfg_for(2, 2, 1)
+    exact = expected_sifi_exact(cfg)
+    for seed in (1, 2, 3):
+        plain = mcmc_expected_sifi(cfg, 50_000, seed, hastings=False)
+        corrected = mcmc_expected_sifi(cfg, 50_000, seed)
+        assert plain.estimate - exact > 0.02
+        assert abs(corrected.estimate - exact) < 0.002
 
 
 def test_chain_states_stay_valid():

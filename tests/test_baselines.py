@@ -1,8 +1,23 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
+from scipy.stats import binom
 
 from ecopull import (baseline_energy, energy_saving_ratio,
                      expected_total_energy, inference_energy, load_config,
                      model_load_energy, p_th, tinyairnet_energy)
+
+
+def filter_only_fixed(cfg):
+    # scoring all N images, staging the weights, receiving model and query
+    return (cfg.images_per_device
+            * inference_energy(cfg.behavior_hw, cfg.behavior_model, cfg.image)
+            + model_load_energy(cfg.behavior_hw, cfg.behavior_model)
+            + cfg.radio.rx_power
+            * (cfg.behavior_model.size * cfg.behavior_model.tx_bits
+               + cfg.query_length * cfg.behavior_hw.sram_bits)
+            / cfg.radio.rate)
 
 
 def test_baseline_energy_single_image():
@@ -31,15 +46,24 @@ def test_tinyairnet_between_its_endpoints():
                cfg.truth_distribution)
     base = baseline_energy(cfg)
     tiny = tinyairnet_energy(cfg)
-    # scoring all N images, staging the weights, receiving model and query
-    fixed = (20 * inference_energy(cfg.behavior_hw, cfg.behavior_model,
-                                   cfg.image)
-             + model_load_energy(cfg.behavior_hw, cfg.behavior_model)
-             + cfg.radio.rx_power
-             * (cfg.behavior_model.size * cfg.behavior_model.tx_bits
-                + cfg.query_length * cfg.behavior_hw.sram_bits)
-             / cfg.radio.rate)
-    assert tiny == pytest.approx(fixed + pth * base, rel=1e-6)
+    assert tiny == pytest.approx(filter_only_fixed(cfg) + pth * base,
+                                 rel=1e-6)
+
+
+def test_tinyairnet_honours_fixed_frames():
+    # a filter-only device sends its c ~ Bin(N, p_th) passed images one per
+    # frame, as an EcoPull device does: min(c, F) PNG uplinks under a cap
+    cfg = load_config({"fixed_frames": 3})
+    n = cfg.images_per_device
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise,
+               cfg.truth_distribution)
+    loads = np.arange(n + 1)
+    png = baseline_energy(cfg) / n
+    direct = float(np.dot(binom.pmf(loads, n, pth),
+                          filter_only_fixed(cfg) + np.minimum(loads, 3) * png))
+    assert tinyairnet_energy(cfg) == pytest.approx(direct, rel=1e-12)
+    assert direct == pytest.approx(10.134, abs=5e-4)
+    assert tinyairnet_energy(replace(cfg, fixed_frames=None)) > 6 * direct
 
 
 def test_saving_ratio():

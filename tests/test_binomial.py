@@ -12,6 +12,10 @@ LOG_SIZES = (0, 1, 7, 100, 1000, 20_000)
 LOG_PROBABILITIES = (0.0, 1e-9, 1e-3, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0)
 
 
+def pmf(n, p):
+    return np.exp(_binomial.saddle_logpmf(n, p))
+
+
 @pytest.mark.parametrize("p, n", [(p, n) for p in LOG_PROBABILITIES
                                   for n in LOG_SIZES
                                   if n == 0 or p in (0.0, 1.0)])
@@ -25,8 +29,8 @@ def test_logpmf_is_bitwise_scipy(n, p):
 @pytest.mark.parametrize("n", LOG_SIZES)
 @pytest.mark.parametrize("p", LOG_PROBABILITIES)
 def test_saddle_logpmf_matches_scipy_logpmf(n, p):
-    # the Metropolis chain reads the log form, also in the tails where pmf
-    # underflows. scipy's log-gamma form cancels terms as large as
+    # the Metropolis chain reads the log form, also in the tails where its
+    # exp underflows. scipy's log-gamma form cancels terms as large as
     # log(n!) + |value|, so it is a reference only to a few ulps of those.
     expected = binom.logpmf(np.arange(n + 1), n, p)
     value = _binomial.saddle_logpmf(n, p)
@@ -42,7 +46,7 @@ def test_saddle_logpmf_matches_scipy_logpmf(n, p):
 def test_pmf_matches_scipy(n, p):
     # pytest.approx keeps its 1e-12 absolute floor: at N = 1e5 scipy's own
     # pmf is off by up to 4e-13 relative where it is 1e-12..1e-6
-    value = _binomial.pmf(n, p)
+    value = pmf(n, p)
     assert value.shape == (n + 1,)
     assert value == pytest.approx(binom.pmf(np.arange(n + 1), n, p),
                                   rel=1e-13)
@@ -51,7 +55,7 @@ def test_pmf_matches_scipy(n, p):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("p", PROBABILITIES)
 def test_pmf_sums_to_one(n, p):
-    assert abs(_binomial.pmf(n, p).sum() - 1.0) <= 1e-13
+    assert abs(pmf(n, p).sum() - 1.0) <= 1e-13
 
 
 @pytest.mark.parametrize("n, p", [(4, 0.31), (100, 0.31), (100, 1e-12),
@@ -63,7 +67,7 @@ def test_pmf_matches_exact_rational_value(n, p):
     # The small loads and their mirror images use every tabulated Stirling
     # term.
     a, d = p.as_integer_ratio()
-    value = _binomial.pmf(n, p)
+    value = pmf(n, p)
     rough = _binomial.saddle_logpmf(n, p)
     mode = int(n * p)
     loads = set(range(min(n, 16) + 1)) | {n - k for k in range(min(n, 16))}
@@ -81,12 +85,19 @@ def test_pmf_matches_exact_rational_value(n, p):
 
 
 def test_pmf_edge_cases():
-    assert _binomial.pmf(0, 0.3).tolist() == [1.0]
-    assert _binomial.pmf(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
-    assert _binomial.pmf(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert pmf(0, 0.3).tolist() == [1.0]
+    assert pmf(3, 0.0).tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert pmf(3, 1.0).tolist() == [0.0, 0.0, 0.0, 1.0]
     # far tails underflow to 0, not to NaN
-    tails = _binomial.pmf(100_000, 0.5)
+    tails = pmf(100_000, 0.5)
     assert np.all(np.isfinite(tails)) and tails[0] == 0.0
+
+
+def test_deviance_series_length_is_the_least_that_meets_its_bound():
+    # every row sums the deviance series to one length: the least whose
+    # dropped terms are below 2^-56 of the leading one wherever it runs
+    cut, terms = _binomial._SERIES_CUT, _binomial._SERIES_TERMS
+    assert cut ** (2 * terms) <= 2.0 ** -56 < cut ** (2 * terms - 2)
 
 
 BATCH_SIZES = (0, 1, 2, 15, 16, 17, 100, 1000)
@@ -122,5 +133,4 @@ def test_law_rows_do_not_depend_on_the_row_blocks():
     rows = _binomial.saddle_logpmf(n, probabilities)
     for row, p in zip(rows, probabilities.tolist()):
         assert np.array_equal(row, _binomial.saddle_logpmf(n, p))
-    assert np.array_equal(_binomial.pmf(n, probabilities), np.exp(rows))
     assert _binomial.saddle_logpmf(n, []).shape == (0, n + 1)

@@ -349,6 +349,22 @@ def test_numpy_and_integer_floats_are_accepted():
     assert radio.tx_power == np.float32(0.5) and radio.rx_power == 1
 
 
+def test_numpy_floats_are_stored_as_floats_and_dump():
+    # the field check accepts any finite real, but JSON only Python's own
+    documented = load_config({"compression_rate": np.float32(1.5),
+                              "radio": {"rate": np.float64(2e4)}})
+    replaced = dataclasses.replace(
+        DEFAULT, truth_threshold=np.float32(0.875),
+        truth_distribution=BetaTruth(np.float32(2.0), 5))
+    for cfg in (documented, replaced):
+        text = dump_config(cfg)
+        assert load_config(text) == cfg
+        assert dump_config(load_config(text)) == text
+    assert type(documented.compression_rate) is float
+    assert documented.compression_rate == 1.5
+    assert type(replaced.truth_distribution.beta) is float
+
+
 def test_compressor_tx_bits_rejected():
     # only the behavior model is sent over the air, so no path read the
     # compressor's tx_bits: it was accepted and ignored

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from ecopull import (UniformTruth, communication_energy, computation_energy,
-                     expected_total_energy, fixed_overhead_energy,
-                     inference_energy, load_config, model_load_total, p_th,
-                     per_relevant_image_energy, simulate)
+                     expected_sifi_exact, expected_total_energy,
+                     fixed_overhead_energy, inference_energy, load_config,
+                     mcmc_expected_sifi, model_load_total, p_th,
+                     per_relevant_image_energy, simulate, tinyairnet_energy)
 from reference import expected_energy_by_count
 
 LOAD = 4.622336e-4 + 8.71424e-6  # both models staged in SRAM
@@ -142,3 +143,17 @@ def test_frame_cap_beyond_every_queue_changes_nothing():
     capped = replace(cfg, fixed_frames=12)
     for energy in (expected_energy_by_count, expected_total_energy):
         assert energy(capped) == pytest.approx(energy(cfg), rel=1e-12)
+
+
+@pytest.mark.parametrize("frames", [37, 38, 10 ** 6])
+def test_frame_cap_at_or_above_library_is_no_cap_bit_for_bit(frames):
+    # no device has more than N images to send, so a cap F >= N must not
+    # move a single bit of any path's result
+    cfg = load_config({"images_per_device": 37})
+    capped = replace(cfg, fixed_frames=frames)
+    for evaluate in (expected_total_energy, tinyairnet_energy,
+                     expected_sifi_exact):
+        assert evaluate(capped) == evaluate(cfg)
+    assert simulate(capped, 40, 3) == simulate(cfg, 40, 3)
+    assert (mcmc_expected_sifi(capped, 2000, 3)
+            == mcmc_expected_sifi(cfg, 2000, 3))

@@ -16,9 +16,9 @@ times, each as the median of several calls after one warm-up call:
 - one ``optimize`` search of the default scenario at ``--gamma-th 0.8``
   over the default grid, at N=25 and at N=100, with ecopull's functools
   caches emptied first, as a fresh invocation starts;
-- the binomial law ``_binomial.saddle_logpmf`` at N=100 for the 31
-  pass probabilities of the default threshold grid: one call on the
-  array where ``saddle_logpmf`` takes one, otherwise one call per value;
+- the binomial law ``_binomial.saddle_logpmf`` at N=25 and at N=100
+  for the 31 pass probabilities of the default threshold grid, in one
+  call, and at N=100 for the default threshold's alone (one row, in µs);
 - one ``compare --n-grid 25,100 --gamma-th 0.8`` call (the benchmark's
   ``design`` workload), one ``compare --n-grid 5:100:5 --gamma-th 0.8``
   call (the default library-size grid) and one ``expected-energy
@@ -38,7 +38,7 @@ from paired_timing import empty_caches, median_ms, run
 SIZES = ((5, 100, 50), (50, 1000, 10), (5, 10000, 3))  # (K, N, calls)
 OPTIMIZE_SIZES = (25, 100)
 OPTIMIZE_CALLS = 20
-LAW_SIZE = 100
+LAW_SIZES = (25, 100)
 LAW_CALLS = 50
 CLI_CALLS = 5
 CLI_ARGVS = {
@@ -83,16 +83,13 @@ def measure() -> dict:
     probabilities = np.array([p_th(vth, cfg.model_noise,
                                    cfg.truth_distribution)
                               for vth in default_vth_grid()])
-    try:
-        _binomial.saddle_logpmf(LAW_SIZE, probabilities)
-
-        def law():
-            _binomial.saddle_logpmf(LAW_SIZE, probabilities)
-    except ValueError:  # a law of one p per call
-        def law():
-            for p in probabilities.tolist():
-                _binomial.saddle_logpmf(LAW_SIZE, p)
-    result[f"saddle_logpmf_grid_N{LAW_SIZE}_ms"] = median_ms(law, LAW_CALLS)
+    for size in LAW_SIZES:
+        result[f"saddle_logpmf_grid_N{size}_ms"] = median_ms(
+            lambda: _binomial.saddle_logpmf(size, probabilities), LAW_CALLS)
+    one = p_th(cfg.relevance_threshold, cfg.model_noise,
+               cfg.truth_distribution)
+    result["saddle_logpmf_row_N100_us"] = 1e3 * median_ms(
+        lambda: _binomial.saddle_logpmf(100, one), LAW_CALLS)
 
     for name, argv in CLI_ARGVS.items():
         with tempfile.TemporaryDirectory() as out:
