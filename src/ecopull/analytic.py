@@ -53,11 +53,12 @@ bins empty or fill), so its stationary law is the multinomial;
 stationary law is not.
 
 Both evaluators read one binomial law, ``_binomial.saddle_logpmf``, and
-the filtered masses of ``energy``; the package loads no scipy. The law is
-batched over ``p``: :class:`ScoreRows` scores a grid of thresholds one
-row at a time, each row reading its own row of one law computed for all
-the thresholds' pass probabilities, and :func:`expected_sifi_over_rates`
-is its one-row case.
+one evaluator of the score's terms, :class:`ScoreRows`, on the filtered
+masses of ``energy``; the package loads no scipy. :class:`ScoreRows`
+scores a grid of thresholds one row at a time, each row reading its own
+row of one law batched over the thresholds' pass probabilities.
+:func:`expected_sifi_over_rates`, :func:`score_terms` (the chain's) and
+:func:`sifi_affine` are its one-row and one-point cases.
 """
 
 from __future__ import annotations
@@ -96,80 +97,7 @@ def p_delta(truth_threshold: float, truth) -> float:
 
 def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
     """Probability at least one of the K*N images is actually relevant."""
-    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
-    images = cfg.device_count * cfg.images_per_device
-    return 1.0 - (1.0 - pdelta) ** images
-
-
-def _relevance(cfg: ScenarioConfig) -> Optional[tuple[float, float, float]]:
-    """``(p_delta, P(Omega > 0), offset)`` of ``cfg``, or None when no
-    image can be actually relevant; ``offset`` is the score of a round
-    that delivers nothing. None of them depends on the relevance
-    threshold.
-    """
-    pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
-    if pdelta <= 0.0:
-        return None
-    p_omega = omega_nonempty_probability(cfg)
-    offset = p_omega * (1.0 - cfg.penalty) + (1.0 - p_omega)
-    return pdelta, p_omega, offset
-
-
-def _detected_mass(cfg: ScenarioConfig, relevance_threshold: float) -> float:
-    # the joint probability that an image is actually relevant and passes
-    # the filter at relevance_threshold
-    return _filtered_mass(relevance_threshold, cfg.model_noise,
-                          cfg.truth_distribution, cfg.truth_threshold)
-
-
-def _relevance_given_filter(pdelta: float, detect: float,
-                            pass_probability: float) -> tuple[float, float]:
-    # (alpha_r, alpha_n) of score_terms
-    alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
-    alpha_n = ((pdelta - detect) / (1.0 - pass_probability)
-               if pass_probability < 1.0 else 0.0)
-    # rounding in the masses must not push either probability out of [0, 1]
-    return min(max(alpha_r, 0.0), 1.0), min(max(alpha_n, 0.0), 1.0)
-
-
-def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
-    """Coefficients (offset, slope) of the collision-free expected score.
-
-    ``offset + slope`` is the expected score when every queued image is
-    delivered, as with one device; ``offset`` is the score of a round that
-    delivers nothing. A zero actually-relevant tail collapses to the
-    constant 1. The expected score itself is built from
-    :func:`score_terms`, which shares ``offset``.
-    """
-    relevance = _relevance(cfg)
-    if relevance is None:
-        return 1.0, 0.0
-    pdelta, p_omega, offset = relevance
-    detect = _detected_mass(cfg, cfg.relevance_threshold)
-    kd = fidelity_distance(cfg.compression_rate)
-    slope = p_omega * (cfg.penalty - kd) * detect / pdelta
-    return offset, slope
-
-
-def score_terms(cfg: ScenarioConfig,
-                pass_probability: float) -> tuple[float, float, float, float]:
-    """Coefficients (offset, gain, alpha_r, alpha_n) of the expected score.
-
-    The score is ``offset + gain * E_psi[f(psi)]`` with ``gain = gamma -
-    k_d``. ``alpha_r`` is P(actually relevant | passed the filter) and
-    ``alpha_n`` P(actually relevant | filtered out); with
-    ``pass_probability`` (``p_th``) they fix the per-composition delivered
-    fraction ``f``. A zero actually-relevant tail gives ``(1, 0, 0, 0)``.
-    """
-    relevance = _relevance(cfg)
-    if relevance is None:
-        return 1.0, 0.0, 0.0, 0.0
-    pdelta, _, offset = relevance
-    gain = cfg.penalty - fidelity_distance(cfg.compression_rate)
-    alpha_r, alpha_n = _relevance_given_filter(
-        pdelta, _detected_mass(cfg, cfg.relevance_threshold),
-        pass_probability)
-    return offset, gain, alpha_r, alpha_n
+    return ScoreRows(cfg, ()).p_omega
 
 
 # --- exact per-round delivered fraction -------------------------------------
@@ -355,24 +283,48 @@ def _frame_deliveries(counts: Sequence[int], occupied: list[int],
 
 class ScoreRows:
     """Expected scores of one scenario over a grid of thresholds and
-    rates, taken one threshold row at a time.
+    rates, taken one threshold row at a time; the one evaluator of the
+    score's terms.
 
     The closed form (module docstring), with each piece computed at the
-    level where it varies: ``p_delta``, ``P(Omega > 0)`` and the offset
-    once for the scenario, the gain ``gamma - k_d(r)`` and the slot count
-    once per rate, and per row only the detected mass, ``(alpha_r,
-    alpha_n)`` and the closed form's quadrature and sums over loads, once
-    per distinct slot count of the row. The relevance threshold of
-    ``cfg`` itself is not read. Each value is bitwise
-    :func:`expected_sifi_exact` of ``cfg`` at that threshold and rate.
-    ``cfg.fixed_frames`` caps the frames of every device.
+    level where it varies: ``pdelta``, ``p_omega = P(Omega > 0)`` and the
+    ``offset`` once for the scenario, the ``gains`` ``gamma - k_d(r)`` and
+    the ``slots`` once per rate, and per row only :meth:`alphas` and the
+    closed form's quadrature and sums over loads, once per distinct slot
+    count of the row. The relevance threshold of ``cfg`` itself is not
+    read. Each value is bitwise :func:`expected_sifi_exact` of ``cfg`` at
+    that threshold and rate. ``cfg.fixed_frames`` caps the frames of every
+    device. A zero actually-relevant tail gives ``p_omega = 0`` and
+    ``alpha_r = 0``, so every score is the offset, 1.
     """
 
     def __init__(self, cfg: ScenarioConfig, rates: Sequence[float]):
         self.cfg = cfg
-        self.relevance = _relevance(cfg)
+        self.pdelta = p_delta(cfg.truth_threshold, cfg.truth_distribution)
+        images = cfg.device_count * cfg.images_per_device
+        self.p_omega = 1.0 - (1.0 - self.pdelta) ** images
+        # the score of a round that delivers nothing
+        self.offset = self.p_omega * (1.0 - cfg.penalty) + (1.0 - self.p_omega)
         self.gains = [cfg.penalty - fidelity_distance(rate) for rate in rates]
         self.slots = [cfg.frame_slots(rate) for rate in rates]
+
+    def detected_mass(self, relevance_threshold: float) -> float:
+        """P(actually relevant and passing the filter at the threshold)."""
+        cfg = self.cfg
+        return _filtered_mass(relevance_threshold, cfg.model_noise,
+                              cfg.truth_distribution, cfg.truth_threshold)
+
+    def alphas(self, relevance_threshold: float,
+               pass_probability: float) -> tuple[float, float]:
+        """``(alpha_r, alpha_n)``: P(actually relevant | passed the filter)
+        and P(actually relevant | filtered out), ``p_th`` being
+        ``pass_probability``."""
+        detect = self.detected_mass(relevance_threshold)
+        alpha_r = detect / pass_probability if pass_probability > 0.0 else 0.0
+        alpha_n = ((self.pdelta - detect) / (1.0 - pass_probability)
+                   if pass_probability < 1.0 else 0.0)
+        # rounding in the masses must not push either probability out of [0, 1]
+        return min(max(alpha_r, 0.0), 1.0), min(max(alpha_n, 0.0), 1.0)
 
     def row(self, relevance_threshold: float, pass_probability: float,
             columns: Sequence[int],
@@ -380,13 +332,8 @@ class ScoreRows:
         """Scores at ``relevance_threshold``, whose ``p_th`` is
         ``pass_probability``, for the rates at ``columns``; ``log_law`` is
         ``saddle_logpmf(N, pass_probability)`` when the caller has it."""
-        if self.relevance is None:
-            return [1.0] * len(columns)
         cfg = self.cfg
-        pdelta, _, offset = self.relevance
-        alpha_r, alpha_n = _relevance_given_filter(
-            pdelta, _detected_mass(cfg, relevance_threshold),
-            pass_probability)
+        alpha_r, alpha_n = self.alphas(relevance_threshold, pass_probability)
         gains = [self.gains[j] for j in columns]
         slots = [self.slots[j] for j in columns]
         scored = sorted({count for count, gain in zip(slots, gains)
@@ -395,9 +342,43 @@ class ScoreRows:
                                      scored, pass_probability, alpha_r,
                                      alpha_n, cfg.fixed_frames, log_law)
                      if scored else {})
-        return [offset if gain * alpha_r == 0.0
-                else offset + gain * fractions[count]
+        return [self.offset if gain * alpha_r == 0.0
+                else self.offset + gain * fractions[count]
                 for gain, count in zip(gains, slots)]
+
+
+def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
+    """Coefficients (offset, slope) of the collision-free expected score.
+
+    ``offset + slope`` is the expected score when every queued image is
+    delivered, as with one device; ``offset`` is the score of a round that
+    delivers nothing. A frame cap below N leaves images unsent, so it is
+    rejected. A zero actually-relevant tail collapses to the constant 1.
+    """
+    frames, images = cfg.fixed_frames, cfg.images_per_device
+    if frames is not None and frames < images:
+        raise ValueError(f"fixed_frames={frames} < N={images} leaves images "
+                         f"unsent")
+    terms = ScoreRows(cfg, (cfg.compression_rate,))
+    if terms.pdelta <= 0.0:  # the slope is 0/0
+        return terms.offset, 0.0
+    detect = terms.detected_mass(cfg.relevance_threshold)
+    return (terms.offset,
+            terms.p_omega * terms.gains[0] * detect / terms.pdelta)
+
+
+def score_terms(cfg: ScenarioConfig,
+                pass_probability: float) -> tuple[float, float, float, float]:
+    """Coefficients (offset, gain, alpha_r, alpha_n) of the expected score.
+
+    The score is ``offset + gain * E_psi[f(psi)]`` with ``gain = gamma -
+    k_d``; with ``pass_probability`` (``p_th``), the alphas of
+    :class:`ScoreRows` fix the delivered fraction ``f``. A zero
+    actually-relevant tail gives ``(1, gain, 0, 0)``: ``f`` is 0.
+    """
+    terms = ScoreRows(cfg, (cfg.compression_rate,))
+    return (terms.offset, terms.gains[0],
+            *terms.alphas(cfg.relevance_threshold, pass_probability))
 
 
 def expected_sifi_over_rates(cfg: ScenarioConfig,

@@ -88,7 +88,7 @@ def _check_fields(config: Any) -> None:
                             object.__setattr__(config, name, float(value))
                         continue
                 except OverflowError:       # an integer past the float range
-                    pass
+                    value = math.inf
                 problem = "must be finite"
         elif kind is int:
             if (isinstance(value, int) and not isinstance(value, bool)
@@ -414,22 +414,11 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
 # --- configuration document handling ---------------------------------------
 #
 # A document is built by the same constructors as any config: a leaf goes
-# to its field as it is, save that a JSON number becomes its field's int or
-# float, a nested mapping updates the ScenarioConfig field's own default,
-# and a truth_distribution mapping builds the class its "kind" names.
-
-
-def _coerce_leaf(value: Any, kind: type) -> Any:
-    """A JSON number as its field's ``int`` or ``float``; the field check
-    judges every value."""
-    if kind is int and isinstance(value, float) and value.is_integer():
-        return int(value)
-    if kind is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError:           # an integer past the float range
-            return math.inf
-    return value
+# to its field as it is, save that an integral JSON number becomes an int
+# field's int (the field check stores a float field's number as a float
+# and judges every value), a nested mapping updates the ScenarioConfig
+# field's own default, and a truth_distribution mapping builds the class
+# its "kind" names.
 
 
 def _build(cls: type, spec: Any, path: str = "", base: Any = None) -> Any:
@@ -449,8 +438,10 @@ def _build(cls: type, spec: Any, path: str = "", base: Any = None) -> Any:
         elif is_dataclass(kind):
             default = cls.__dataclass_fields__[key].default_factory()
             kwargs[key] = _build(kind, raw, name, default)
+        elif kind is int and isinstance(raw, float) and raw.is_integer():
+            kwargs[key] = int(raw)
         else:
-            kwargs[key] = _coerce_leaf(raw, kind)
+            kwargs[key] = raw
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except (TypeError, ValueError) as exc:

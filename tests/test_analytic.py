@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, multinomial, norm
 
-from ecopull import (ConfigError, UniformTruth, expected_sifi_exact,
-                     fidelity_distance, load_config, mcmc_expected_sifi,
+from ecopull import (ConfigError, UniformTruth, default_vth_grid,
+                     expected_sifi_exact, fidelity_distance, load_config,
+                     mcmc_expected_sifi,
                      omega_nonempty_probability, p_delta, p_th, sifi_affine,
                      simulate)
 from ecopull import analytic
@@ -365,6 +366,56 @@ def test_exact_single_device_reduces_to_closed_form():
     # one device never collides with itself
     assert expected_sifi_exact(cfg) == pytest.approx(offset + slope,
                                                      rel=1e-9)
+
+
+def test_sifi_affine_rejects_a_frame_cap_below_the_library():
+    # under a cap F < N a queued image may never be sent, so offset + slope
+    # is not the one-device score: at F=2 it read 0.99606 against 0.87734
+    with pytest.raises(ValueError, match="fixed_frames=2"):
+        sifi_affine(cfg_for(1, 6, 4, fixed_frames=2))
+    # a cap at or above N caps nothing
+    uncapped = sifi_affine(cfg_for(1, 6, 4))
+    for frames in (6, 7):
+        assert sifi_affine(cfg_for(1, 6, 4, fixed_frames=frames)) == uncapped
+
+
+BETA_TRUTH = {"truth_distribution": {"kind": "beta", "alpha": 2.0,
+                                     "beta": 5.0}}
+
+
+@pytest.mark.parametrize("truth", [{}, BETA_TRUTH], ids=["uniform", "beta"])
+def test_zero_tail_scores_one_on_every_path(truth):
+    # no image is actually relevant, so Omega = 0 in every round; no path
+    # takes a branch of its own for it
+    cfg = load_config({**truth, "truth_threshold": 1.0})
+    rates = [1.0, 1.5, 2.0, 4.86]
+    pth = p_th(cfg.relevance_threshold, cfg.model_noise,
+               cfg.truth_distribution)
+    rows = analytic.ScoreRows(cfg, rates)
+    for vth in (0.5, 0.6, 0.8):
+        assert rows.row(vth, p_th(vth, cfg.model_noise,
+                                  cfg.truth_distribution),
+                        range(len(rates))) == [1.0] * len(rates)
+    offset, _, alpha_r, alpha_n = score_terms(cfg, pth)
+    assert (offset, alpha_r, alpha_n) == (1.0, 0.0, 0.0)
+    assert sifi_affine(cfg) == (1.0, 0.0)
+    assert mcmc_expected_sifi(cfg, 200, 0).estimate == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    {},
+    BETA_TRUTH,
+    {"truth_threshold": 1.0},
+    {"fixed_frames": 3, "truth_threshold": 0.5, "model_noise": 1e-4},
+], ids=["default", "beta", "zero-tail", "capped"])
+def test_chain_and_grid_read_the_same_alphas(spec):
+    cfg = load_config(spec)
+    rows = analytic.ScoreRows(cfg, [cfg.compression_rate])
+    for vth in default_vth_grid():
+        pth = p_th(vth, cfg.model_noise, cfg.truth_distribution)
+        chain = score_terms(replace(cfg, relevance_threshold=vth), pth)
+        assert chain[2:] == rows.alphas(vth, pth)
+        assert chain[:2] == (rows.offset, rows.gains[0])
 
 
 def test_exact_tracks_simulation_within_model_error():

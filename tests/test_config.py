@@ -344,6 +344,19 @@ def test_constructors_check_fields(build, name):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: RadioProfile(rate=10 ** 400), "rate=inf must be finite"),
+    (lambda: BetaTruth(alpha=10 ** 400, beta=1.0), "alpha=inf must be finite"),
+    (lambda: dataclasses.replace(DEFAULT, penalty=10 ** 400),
+     "penalty=inf must be finite"),
+], ids=["constructor", "truth", "replace"])
+def test_integer_past_the_float_range_reads_inf(build, message):
+    # such an integer was once written out in full, 401 digits
+    with pytest.raises(ConfigError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
 def test_numpy_and_integer_floats_are_accepted():
     radio = RadioProfile(tx_power=np.float32(0.5), rx_power=1, rate=1e4)
     assert radio.tx_power == np.float32(0.5) and radio.rx_power == 1
