@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 # the submodule that defines each exported name
 _EXPORTS = {
     "analytic": ("ChainResult", "expected_sifi_exact", "mcmc_expected_sifi",
-                 "omega_nonempty_probability", "p_delta", "run_chain",
-                 "sifi_affine"),
+                 "p_delta", "run_chain", "sifi_affine"),
     "baselines": ("baseline_energy", "energy_saving_ratio",
                   "tinyairnet_energy"),
     "config": ("BetaTruth", "ConfigError", "HardwareProfile", "ImageGeometry",

@@ -76,7 +76,6 @@ from .sifi import fidelity_distance
 
 __all__ = [
     "p_delta",
-    "omega_nonempty_probability",
     "sifi_affine",
     "score_terms",
     "expected_sifi_exact",
@@ -93,11 +92,6 @@ def p_delta(truth_threshold: float, truth) -> float:
     if not 0.0 <= truth_threshold <= 1.0:
         raise ValueError(f"truth_threshold={truth_threshold} outside [0, 1]")
     return float(1.0 - truth.cdf(truth_threshold))
-
-
-def omega_nonempty_probability(cfg: ScenarioConfig) -> float:
-    """Probability at least one of the K*N images is actually relevant."""
-    return ScoreRows(cfg, ()).p_omega
 
 
 # --- exact per-round delivered fraction -------------------------------------

@@ -329,7 +329,12 @@ def slots_for_rate(rate: float, slot_coefficient: int) -> int:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full parameterization of one retrieval experiment."""
+    """Full parameterization of one retrieval experiment.
+
+    ``model_noise`` is resolved once, when the config is built: ``None``
+    becomes ``1 / behavior_model.tx_bits``, which ``replace`` or a dumped
+    document then keeps when only ``tx_bits`` changes.
+    """
 
     device_count: int = 5                # K
     images_per_device: int = 100         # N

@@ -1,10 +1,12 @@
 """Per-device energy accounting and the relevance-probability machinery.
 
 A device always scores all N stored images with the behavior model, then
-compresses and transmits the S images that passed the relevance threshold.
-The fixed per-query overhead (behavior-model reception, query reception,
-weight loading, scoring) is independent of S; every relevant image adds one
-compressor inference plus one packet transmission.
+compresses the c images that passed the relevance threshold and sends
+s = min(c, F) of them under a frame cap F. Its energy has one evaluator:
+:func:`computation_energy` (scoring and weight loading, plus c
+compressions) and :func:`communication_energy` (model and query
+reception, plus s uplinks). The simulator charges each device these, and
+the expected energy is the same form at the means of c and s.
 """
 
 from __future__ import annotations
@@ -76,27 +78,27 @@ def model_load_total(cfg: ScenarioConfig) -> float:
             + model_load_energy(cfg.compressor_hw, cfg.compressor_model))
 
 
-def computation_energy(cfg: ScenarioConfig, relevant_count: int) -> float:
-    """Compute-side energy for one query: N scorings, S compressions, loads."""
+def computation_energy(cfg: ScenarioConfig, relevant_count: float) -> float:
+    """Compute-side energy for one query: N scorings, both weight loads and
+    one compression per relevant image; ``relevant_count`` may be a mean."""
     n = cfg.images_per_device
     if not 0 <= relevant_count <= n:
         raise ValueError(
             f"relevant_count={relevant_count} outside [0, {n}]")
     score = n * inference_energy(cfg.behavior_hw, cfg.behavior_model, cfg.image)
-    compress = relevant_count * inference_energy(cfg.compressor_hw,
-                                                 cfg.compressor_model, cfg.image)
-    return score + compress + model_load_total(cfg)
+    return (score + model_load_total(cfg)
+            + relevant_count * _compression_energy(cfg))
 
 
-def communication_energy(cfg: ScenarioConfig, relevant_count: int) -> float:
-    """Radio energy: behavior model + query reception, S packet uplinks."""
-    if relevant_count < 0:
-        raise ValueError(f"relevant_count={relevant_count} must be >= 0")
+def communication_energy(cfg: ScenarioConfig, sent_count: float) -> float:
+    """Radio energy: model and query reception and one packet uplink per
+    sent image; ``sent_count``, ``min(c, F)`` under a cap, may be a mean."""
+    if sent_count < 0:
+        raise ValueError(f"sent_count={sent_count} must be >= 0")
     rx_bits = (cfg.behavior_model.size * cfg.behavior_model.tx_bits
                + cfg.query_length * cfg.behavior_hw.sram_bits)
-    tx_bits = relevant_count * packet_bits(cfg)
-    return (cfg.radio.rx_power * rx_bits
-            + cfg.radio.tx_power * tx_bits) / cfg.radio.rate
+    return (cfg.radio.rx_power * rx_bits / cfg.radio.rate
+            + sent_count * _uplink_energy(cfg))
 
 
 def fixed_overhead_energy(cfg: ScenarioConfig) -> float:
@@ -223,14 +225,12 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
 
 
 def _mean_sent(cfg: ScenarioConfig, pass_probabilities: Sequence[float],
-               log_law: Optional[np.ndarray] = None
-               ) -> Optional[list[float]]:
-    """Mean count of images a device sends, one per pass probability; None
-    where ``fixed_frames`` caps nothing (None, or at least N), as the mean
-    is then ``N p``.
+               log_law: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean count of images a device sends, one per pass probability.
 
     Of its ``c ~ Bin(N, p)`` passed images a device sends one per frame,
-    ``min(c, F)`` in all under a cap ``F``, as the simulator does. Its mean
+    ``min(c, F)`` in all under a cap ``F``, as the simulator does. Without
+    a cap, or with one at or above N, the mean is ``N p``. Under a cap it
     is ``F - sum_{c<F} (F - c) P(c)``: only loads below the cap send fewer
     than F images. ``log_law`` holds ``saddle_logpmf(N,
     pass_probabilities)`` when the caller has it; otherwise a cap below N
@@ -238,12 +238,12 @@ def _mean_sent(cfg: ScenarioConfig, pass_probabilities: Sequence[float],
     """
     n, frames = cfg.images_per_device, cfg.fixed_frames
     if frames is None or frames >= n:
-        return None
+        return n * np.array(pass_probabilities, dtype=float)
     if log_law is None:
         log_law = _binomial.saddle_logpmf(n, pass_probabilities)
     shortfall = frames - np.arange(frames)
-    return [frames - float(np.dot(shortfall, np.exp(row[:frames])))
-            for row in log_law]
+    return np.array([frames - float(np.dot(shortfall, np.exp(row[:frames])))
+                     for row in log_law])
 
 
 def expected_energy_grid(cfg: ScenarioConfig,
@@ -254,27 +254,20 @@ def expected_energy_grid(cfg: ScenarioConfig,
     """Closed-form expected per-device energy of ``cfg``: one row per pass
     probability (``p_th`` of a threshold) and one column per rate.
 
-    The fixed overhead, the compression energy and each rate's uplink
-    packet are computed once; a row takes only its pass probability and,
-    under ``fixed_frames``, its mean sent count (``log_law`` as for
-    :func:`_mean_sent`). Each value is bitwise
-    :func:`expected_total_energy` of ``cfg`` at that threshold and rate.
-
     A device compresses all ``c ~ Bin(N, p_th)`` of its passed images and
-    sends ``min(c, F)`` of them under a cap ``F``; a cap at or above N is
-    no cap, bit for bit.
+    sends ``min(c, F)`` of them under a cap ``F``. The energy is affine in
+    both counts, so its mean is the device energy's form at ``E[c] = N
+    p_th`` and ``E[min(c, F)]`` (:func:`_mean_sent`, ``log_law`` as there),
+    summed in the same order; each value is bitwise
+    :func:`expected_total_energy` of ``cfg`` at that threshold and rate.
     """
-    overhead = fixed_overhead_energy(cfg)
-    compress = _compression_energy(cfg)
-    uplinks = np.array([_uplink_energy(cfg, rate) for rate in rates])
     loads = cfg.images_per_device * np.array(pass_probabilities, dtype=float)
+    computation = computation_energy(cfg, 0) + loads * _compression_energy(cfg)
+    uplinks = np.array([_uplink_energy(cfg, rate) for rate in rates])
     sent = _mean_sent(cfg, pass_probabilities, log_law)
-    if sent is None:
-        energies = np.multiply.outer(loads, compress + uplinks) + overhead
-    else:
-        energies = ((loads * compress)[:, None]
-                    + np.multiply.outer(sent, uplinks) + overhead)
-    return energies.tolist()
+    communication = (communication_energy(cfg, 0)
+                     + np.multiply.outer(sent, uplinks))
+    return (computation[:, None] + communication).tolist()
 
 
 def expected_total_energy(cfg: ScenarioConfig) -> float:

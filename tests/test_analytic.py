@@ -14,8 +14,7 @@ from scipy.stats import binom, chisquare, multinomial, norm
 
 from ecopull import (ConfigError, UniformTruth, default_vth_grid,
                      expected_sifi_exact, fidelity_distance, load_config,
-                     mcmc_expected_sifi,
-                     omega_nonempty_probability, p_delta, p_th, sifi_affine,
+                     mcmc_expected_sifi, p_delta, p_th, sifi_affine,
                      simulate)
 from ecopull import analytic
 from ecopull.analytic import (_mean_fractions, _panel_rule,
@@ -110,8 +109,8 @@ def test_p_actual_collect_step_noise_limit():
 
 def test_omega_probability():
     cfg = cfg_for(2, 2, 4)
-    assert omega_nonempty_probability(cfg) == pytest.approx(1 - 0.9 ** 4,
-                                                            rel=1e-9)
+    assert analytic.ScoreRows(cfg, ()).p_omega == pytest.approx(1 - 0.9 ** 4,
+                                                                rel=1e-9)
 
 
 # --- exact expectation -------------------------------------------------------
@@ -159,7 +158,7 @@ def direct_composition_sum(cfg):
         deliveries = sum(w * base ** (w - 1) for w in active if w > 0)
         mean_fraction += (multinomial.pmf(psi, devices, prel)
                           * alpha_r * g * deliveries)
-    p_omega = omega_nonempty_probability(cfg)
+    p_omega = analytic.ScoreRows(cfg, ()).p_omega
     gamma = cfg.penalty
     return (p_omega * (1 - gamma) + (1 - p_omega)
             + (gamma - fidelity_distance(cfg.compression_rate))

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from ecopull import (baseline_energy, energy_saving_ratio,
+from ecopull import (PNG_BPP, baseline_energy, energy_saving_ratio,
                      expected_total_energy, inference_energy, load_config,
                      model_load_energy, p_th, tinyairnet_energy)
+from ecopull.energy import _uplink_energy
 
 
 def filter_only_fixed(cfg):
@@ -31,6 +32,13 @@ def test_baseline_energy_linear_in_library_size():
     for n in (2, 10, 100):
         cfg = load_config({"images_per_device": n})
         assert baseline_energy(cfg) == pytest.approx(n * one, rel=1e-12)
+
+
+def test_baseline_energy_is_n_png_uplinks_bit_for_bit():
+    base = load_config()
+    for n in range(1, 201):
+        cfg = replace(base, images_per_device=n)
+        assert baseline_energy(cfg) == n * _uplink_energy(cfg, PNG_BPP)
 
 
 def test_baseline_has_no_ml_terms():

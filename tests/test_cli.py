@@ -449,6 +449,21 @@ def test_cli_outputs_are_byte_identical(tmp_path, capsys):
                        "d711fbfef642cdf3b710b15ee244a4e4"),
       "optimize_grid.csv": ("e2016544ba969de742e25c8203d6d3db"
                             "ff94f2c8e08893d782a50697c8e51c4e")}),
+    # under a frame cap: the comparison schemes, the device-energy table
+    # and every point of the design grid
+    (["compare", "--n-grid", "5:100:5", "--set", "fixed_frames=3"],
+     {"compare.csv": ("2beab6aaf20478371d83dff631e9671c"
+                      "8bbbe47e5ba38addcfbe2dca2ce97f46")}),
+    (["energy-breakdown", "--set", "fixed_frames=2"],
+     {"energy_breakdown.csv": ("71248edf993850bb226ca23b73971dbd"
+                               "334d83cdf581f153ad449263243071f0"),
+      "device_energy.csv": ("5f58b80444ba217e2357b5984d1d8bc7"
+                            "31a0cce51dc1d16ac7eac3883f518f56")}),
+    (["optimize", "--full-grid", "--set", "fixed_frames=7"],
+     {"optimize.csv": ("0eb49b8dd3c7110aa4c966b6885a6a37"
+                       "46fc6d58d6ca0aacc297796507318ca0"),
+      "optimize_grid.csv": ("8574aa30cf61550658a80606e69bda4e"
+                            "c7f89f6d8b3317e6790c273bd3452868")}),
     # a seed wider than 32 bits, whose rounds draw from default_rng
     (["simulate", "--rounds", "20", "--seed", "99999999999999999999"],
      {"simulate.csv": ("bdabfb0c385bbb6ff9448ee255c4e196"

@@ -8,6 +8,7 @@ from ecopull import (UniformTruth, communication_energy, computation_energy,
                      fixed_overhead_energy, inference_energy, load_config,
                      mcmc_expected_sifi, model_load_total, p_th,
                      per_relevant_image_energy, simulate, tinyairnet_energy)
+from ecopull.energy import _mean_sent
 from reference import expected_energy_by_count
 
 LOAD = 4.622336e-4 + 8.71424e-6  # both models staged in SRAM
@@ -113,6 +114,29 @@ def test_expected_energy_reference_point():
     assert expected - overhead == pytest.approx(26.65, abs=0.02)
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"fixed_frames": 3},
+    {"fixed_frames": 7,
+     "truth_distribution": {"kind": "beta", "alpha": 2, "beta": 5}},
+])
+def test_expected_energy_is_the_device_energy_at_the_mean_counts(overrides):
+    # the expected energy is the device energy evaluated at E[c] = N p_th
+    # compressed and E[min(c, F)] sent images, bit for bit
+    base = load_config(overrides)
+    for vth in (0.3, 0.5, 0.6, 0.75, 0.9):
+        for rate in (1.0, 1.3, 2.0, 3.7):
+            for n in (9, 40, 100):
+                cfg = replace(base, relevance_threshold=vth,
+                              compression_rate=rate, images_per_device=n)
+                pth = p_th(vth, cfg.model_noise, cfg.truth_distribution)
+                sent = (n * pth if cfg.fixed_frames is None
+                        else _mean_sent(cfg, (pth,))[0])
+                assert expected_total_energy(cfg) == (
+                    computation_energy(cfg, n * pth)
+                    + communication_energy(cfg, sent))
+
+
 def test_expected_energy_matches_simulation_mean():
     cfg = load_config({"images_per_device": 30})
     aggregate = simulate(cfg, 3000, 21)
@@ -154,6 +178,9 @@ def test_frame_cap_at_or_above_library_is_no_cap_bit_for_bit(frames):
     for evaluate in (expected_total_energy, tinyairnet_energy,
                      expected_sifi_exact):
         assert evaluate(capped) == evaluate(cfg)
+    for case in (cfg, capped):
+        assert (_mean_sent(case, (0.2, 0.65)).tolist()
+                == [37 * 0.2, 37 * 0.65])
     assert simulate(capped, 40, 3) == simulate(cfg, 40, 3)
     assert (mcmc_expected_sifi(capped, 2000, 3)
             == mcmc_expected_sifi(cfg, 2000, 3))

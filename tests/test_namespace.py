@@ -13,8 +13,8 @@ import ecopull
 # each exported name's home, the module that defines it
 HOMES = {
     "ecopull.analytic": ["ChainResult", "expected_sifi_exact",
-                         "mcmc_expected_sifi", "omega_nonempty_probability",
-                         "p_delta", "run_chain", "sifi_affine"],
+                         "mcmc_expected_sifi", "p_delta", "run_chain",
+                         "sifi_affine"],
     "ecopull.baselines": ["baseline_energy", "energy_saving_ratio",
                           "tinyairnet_energy"],
     "ecopull.config": ["BetaTruth", "ConfigError", "HardwareProfile",
@@ -42,8 +42,8 @@ HOMES = {
 EXPORTED = sorted(name for names in HOMES.values() for name in names)
 
 
-def test_all_lists_the_56_exported_names():
-    assert len(EXPORTED) == 56
+def test_all_lists_the_55_exported_names():
+    assert len(EXPORTED) == 55
     assert sorted(ecopull.__all__) == EXPORTED
 
 

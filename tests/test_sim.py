@@ -193,6 +193,26 @@ def test_energy_accounting_per_round(small_cfg):
             communication_energy(small_cfg, int(count)), rel=1e-12)
 
 
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"device_count": 20, "images_per_device": 300},
+    {"fixed_frames": 3},
+])
+def test_round_energy_is_the_public_device_energy(overrides):
+    # a device that passes c images compresses all of them and sends
+    # min(c, frames used); the simulator's arrays are the public functions
+    # at those counts, bit for bit
+    cfg = load_config(overrides)
+    for index in range(30):
+        out = run_round(cfg, (6, index))
+        for count, comp, comm in zip(out.relevant_counts, out.computation,
+                                     out.communication):
+            count = int(count)
+            assert comp == computation_energy(cfg, count)
+            assert comm == communication_energy(
+                cfg, min(count, out.frames_used))
+
+
 def test_fixed_frame_horizon_caps_attempts():
     cfg = load_config({"device_count": 3, "images_per_device": 10,
                        "relevance_threshold": 0.0, "model_noise": 1e-12,

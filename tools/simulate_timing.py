@@ -12,9 +12,8 @@ as the median of several calls after one warm-up call:
 - ``simulate_ms``: one ``simulate --rounds 50`` call through
   ``ecopull.cli.main`` (the benchmark's ``sim-default`` workload), with
   ecopull's functools caches emptied first, as a fresh invocation starts;
-- ``parser_simulate_ms``: the parser that call builds, ``build_parser(
-  "simulate")`` where it takes a command and ``build_parser()`` where it
-  does not; ``parser_all_ms``: ``build_parser()``;
+- ``parser_simulate_ms``: the parser that call builds,
+  ``build_parser("simulate")``; ``parser_all_ms``: ``build_parser()``;
 - ``round_K5_N100_us`` and ``round_K2_N2_us``: ``simulate`` per round, in
   microseconds, at the default K=5, N=100 (4 blocks of 32 rounds) and at
   K=2, N=2, criterion 2's smallest size (2 blocks of 4096 rounds);
@@ -30,7 +29,6 @@ The pairing and the report are ``tools/paired_timing.py``'s.
 """
 
 import contextlib
-import inspect
 import io
 import resource
 
@@ -60,12 +58,10 @@ def measure() -> dict:
             if cli.main(SIMULATE_ARGV) != 0:
                 raise RuntimeError(f"simulate failed: {sink.getvalue()}")
 
-    one_command = inspect.signature(cli.build_parser).parameters
     result = {
         "simulate_ms": median_ms(simulate_call, SIMULATE_CALLS),
         "parser_simulate_ms": median_ms(
-            (lambda: cli.build_parser("simulate")) if one_command
-            else cli.build_parser, PARSER_CALLS),
+            lambda: cli.build_parser("simulate"), PARSER_CALLS),
         "parser_all_ms": median_ms(cli.build_parser, PARSER_CALLS),
     }
     for devices, images, rounds, calls in ROUND_SIZES:
