@@ -17,8 +17,8 @@ where ``W_nu`` devices are active in frame ``nu``, ``b = 1 - 1/L``,
 the probabilities that a passed and a filtered-out image is actually
 relevant, and ``G(R) = E[1 / (1 + Bin(R-1, alpha_r) + Bin(KN-R, alpha_n))]``
 weighs a delivered image by the number of actually-relevant images it
-shares the round with. A frame cap ``F`` (``fixed_frames``) keeps only
-the frames ``nu <= F`` in the sum; ``R`` and ``G`` stay, as ``Omega``
+shares the round with. Only the frames ``nu <= F`` of the horizon ``F =
+ScenarioConfig.max_frames`` count; ``R`` and ``G`` stay, as ``Omega``
 counts the images left unsent too. ``f`` lies in [0, 1], and with one
 device (nothing collides) and no cap the score reduces to
 ``offset + slope`` of :func:`sifi_affine`.
@@ -41,9 +41,9 @@ tagged device sends in frame ``nu``. Swapping the two sums, a frame
 
     E[f] = K alpha_r int_0^1 (1 / x_r) sum_{nu=1..N} S_nu M_nu(s)^(K-1) ds.
 
-Each quadrature node costs O(N). Under a frame cap ``F`` the sum runs
-over ``nu <= F``; ``M_nu`` stays, since another device is active in a
-frame ``nu <= F`` iff its load is at least ``nu``.
+Each quadrature node costs O(N). The sum runs over the horizon's frames
+``nu <= F``; under a cap ``M_nu`` stays, since another device is active
+in a frame ``nu <= F`` iff its load is at least ``nu``.
 
 :func:`run_chain` samples compositions with a Metropolis chain whose
 proposal moves one device between two bins. The chain applies the Hastings
@@ -141,12 +141,10 @@ def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _mean_fractions(device_count: int, images_per_device: int,
                     slot_counts: Sequence[int], pass_probability: float,
-                    alpha_r: float, alpha_n: float,
-                    frames: Optional[int] = None,
+                    alpha_r: float, alpha_n: float, frames: int,
                     log_law: Optional[np.ndarray] = None) -> dict[int, float]:
     """E[f] over the load distribution for each slot count, by the closed
-    form (module docstring), with the tagged device's frames capped at
-    ``frames`` when given.
+    form (module docstring), over the horizon's ``frames`` (at most N).
 
     One row per quadrature node. ``y = P(c) x_r^c x_n^(N-c)`` is
     exponentiated once, shifted by its row maximum and divided by its row
@@ -177,13 +175,12 @@ def _mean_fractions(device_count: int, images_per_device: int,
     np.exp(y, out=y)
     total = y.sum(axis=1, keepdims=True)
     y /= total
-    # a cap F drops the frames past F and nothing else (module docstring)
-    horizon = images if frames is None else min(frames, images)
     # S_nu / A and sum_{c<nu} y_c / A for nu = 1..F: M_nu / A is
     # below + b * above, two nonnegative parts, so nothing cancels, not
-    # even at b = 0 (one slot)
-    above = np.cumsum(y[:, :0:-1], axis=1)[:, ::-1][:, :horizon]
-    below = np.cumsum(y[:, :horizon], axis=1)
+    # even at b = 0 (one slot); a cap F < N drops the frames past F and
+    # nothing else (module docstring)
+    above = np.cumsum(y[:, :0:-1], axis=1)[:, ::-1][:, :frames]
+    below = np.cumsum(y[:, :frames], axis=1)
     del y  # at large N each (node, load) array is tens of MB
     # log(A^K / x_r)
     scale = device_count * (top + np.log(total)) - log_xr
@@ -287,8 +284,8 @@ class ScoreRows:
     closed form's quadrature and sums over loads, once per distinct slot
     count of the row. The relevance threshold of ``cfg`` itself is not
     read. Each value is bitwise :func:`expected_sifi_exact` of ``cfg`` at
-    that threshold and rate. ``cfg.fixed_frames`` caps the frames of every
-    device. A zero actually-relevant tail gives ``p_omega = 0`` and
+    that threshold and rate. A device sends in ``cfg.max_frames`` frames at
+    most. A zero actually-relevant tail gives ``p_omega = 0`` and
     ``alpha_r = 0``, so every score is the offset, 1.
     """
 
@@ -334,7 +331,7 @@ class ScoreRows:
                          if gain * alpha_r != 0.0})
         fractions = (_mean_fractions(cfg.device_count, cfg.images_per_device,
                                      scored, pass_probability, alpha_r,
-                                     alpha_n, cfg.fixed_frames, log_law)
+                                     alpha_n, cfg.max_frames, log_law)
                      if scored else {})
         return [self.offset if gain * alpha_r == 0.0
                 else self.offset + gain * fractions[count]
@@ -349,10 +346,9 @@ def sifi_affine(cfg: ScenarioConfig) -> tuple[float, float]:
     delivers nothing. A frame cap below N leaves images unsent, so it is
     rejected. A zero actually-relevant tail collapses to the constant 1.
     """
-    frames, images = cfg.fixed_frames, cfg.images_per_device
-    if frames is not None and frames < images:
-        raise ValueError(f"fixed_frames={frames} < N={images} leaves images "
-                         f"unsent")
+    if cfg.max_frames < cfg.images_per_device:
+        raise ValueError(f"fixed_frames={cfg.fixed_frames} < "
+                         f"N={cfg.images_per_device} leaves images unsent")
     terms = ScoreRows(cfg, (cfg.compression_rate,))
     if terms.pdelta <= 0.0:  # the slope is 0/0
         return terms.offset, 0.0
@@ -435,7 +431,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
               terms: tuple[float, float, float, float],
               burn_in: int = 0, hastings: bool = True, state_stride: int = 0,
               keep_trace: bool = False, check_every: int = 1000,
-              frames: Optional[int] = None) -> ChainResult:
+              frames: int) -> ChainResult:
     """Run the one-device-move Metropolis chain over compositions.
 
     ``log_rel`` holds the log bin probabilities (length N+1) and ``terms``
@@ -451,7 +447,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
 
     ``state_stride`` > 0 records every stride-th post-update state;
     ``check_every`` >= 1 revalidates the full state at that period.
-    ``frames`` caps the frames a device sends in, as ``fixed_frames``.
+    ``frames`` is the horizon, ``ScenarioConfig.max_frames``.
     """
     if samples < 1:
         raise ValueError(f"samples={samples} must be >= 1")
@@ -463,7 +459,6 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
     log_rel = [float(v) for v in log_rel]
     offset, gain, alpha_r, alpha_n = terms
     table = _FractionTable(device_count, n_bins - 1, slots, alpha_r, alpha_n)
-    horizon = n_bins - 1 if frames is None else frames
     weight = table.weight
     g_values = table.g
     counts = _initial_state(device_count, log_rel)
@@ -478,7 +473,7 @@ def run_chain(log_rel: Sequence[float], device_count: int, slots: int,
         if g is None:
             g = table.fill(load)
         return alpha_r * g * _frame_deliveries(
-            counts, occupied, device_count - counts[0], weight, horizon)
+            counts, occupied, device_count - counts[0], weight, frames)
 
     rng = np.random.default_rng(seed)
     total_steps = burn_in + samples
@@ -578,5 +573,5 @@ def mcmc_expected_sifi(cfg: ScenarioConfig, samples: int, seed: int,
                      terms=score_terms(cfg, pth), burn_in=burn_in,
                      hastings=hastings, state_stride=state_stride,
                      keep_trace=keep_trace, check_every=check_every,
-                     frames=cfg.fixed_frames)
+                     frames=cfg.max_frames)
 

@@ -4,9 +4,9 @@ The plain scheme sends every image PNG-compressed in reserved, collision-free
 slots and runs no ML at all. The filter-only scheme receives the query and
 the behavior model, stages and runs the model, then sends PNG-compressed
 the images that clear the threshold, one per frame as an EcoPull device
-does, so at most ``fixed_frames`` of them; collisions do not change its
-energy because attempted transmissions are what cost power. Both price a
-PNG image as EcoPull's packet, with ``energy._uplink_energy`` at ``PNG_BPP``.
+does, so at most ``ScenarioConfig.max_frames`` of them; collisions do not
+change its energy, as attempted transmissions are what cost power. Both
+price a PNG image with EcoPull's ``energy._uplink_energy`` at ``PNG_BPP``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def tinyairnet_energy(cfg: ScenarioConfig) -> float:
     device's without the compressor, sending ``E[min(c, F)]`` PNG images."""
     pass_probability = p_th(cfg.relevance_threshold, cfg.model_noise,
                             cfg.truth_distribution)
-    sent = _mean_sent(cfg, (pass_probability,))[0]
+    sent = float(_mean_sent(cfg, (pass_probability,))[0])
     return (cfg.images_per_device
             * inference_energy(cfg.behavior_hw, cfg.behavior_model, cfg.image)
             + model_load_energy(cfg.behavior_hw, cfg.behavior_model)

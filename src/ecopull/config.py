@@ -403,6 +403,12 @@ class ScenarioConfig:
             return self.slots_per_frame
         return slots_for_rate(rate, self.slot_coefficient)
 
+    @property
+    def max_frames(self) -> int:
+        """Frames a device sends in at most: N, or ``fixed_frames`` when
+        smaller (a cap at or above N is no cap); every path reads it."""
+        return min(self.images_per_device, self.fixed_frames or math.inf)
+
 
 def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
     """Uplink packet size in bits: compression rate times pixels per image.

@@ -212,15 +212,16 @@ def _filtered_mass(relevance_threshold: float, model_noise: float,
     with a 30-digit reference to 1e-12 absolute.
     """
     # a grid search asks for the same threshold once per rate and library
-    # size; truth distributions are frozen, so they can key the cache
+    # size; truth distributions are frozen, so they can key the cache, and
+    # a numpy threshold shares the equal float's key: return floats
     if truth.kind == "uniform":
-        return model_noise * (
+        return float(model_noise * (
             _normal_partial_mean((1.0 - relevance_threshold) / model_noise)
             - _normal_partial_mean((lower - relevance_threshold)
-                                   / model_noise))
+                                   / model_noise)))
     if truth.kind == "beta":
-        return _beta_filtered_mass(relevance_threshold, model_noise,
-                                   truth.alpha, truth.beta, lower)
+        return float(_beta_filtered_mass(relevance_threshold, model_noise,
+                                         truth.alpha, truth.beta, lower))
     raise ValueError(f"no filtered mass for truth kind {truth.kind!r}")
 
 
@@ -229,15 +230,15 @@ def _mean_sent(cfg: ScenarioConfig, pass_probabilities: Sequence[float],
     """Mean count of images a device sends, one per pass probability.
 
     Of its ``c ~ Bin(N, p)`` passed images a device sends one per frame,
-    ``min(c, F)`` in all under a cap ``F``, as the simulator does. Without
-    a cap, or with one at or above N, the mean is ``N p``. Under a cap it
+    ``min(c, F)`` in all over ``F = cfg.max_frames`` frames, as the
+    simulator does. At ``F = N`` the mean is ``N p``. Under a cap it
     is ``F - sum_{c<F} (F - c) P(c)``: only loads below the cap send fewer
     than F images. ``log_law`` holds ``saddle_logpmf(N,
     pass_probabilities)`` when the caller has it; otherwise a cap below N
     computes it, once for all rows.
     """
-    n, frames = cfg.images_per_device, cfg.fixed_frames
-    if frames is None or frames >= n:
+    n, frames = cfg.images_per_device, cfg.max_frames
+    if frames == n:
         return n * np.array(pass_probabilities, dtype=float)
     if log_law is None:
         log_law = _binomial.saddle_logpmf(n, pass_probabilities)

@@ -4,9 +4,9 @@ Round structure: every device scores its N images against the query, queues
 the ones whose noisy score clears the threshold, then drains the queue one
 image per frame, picking a uniformly random queued image and a uniformly
 random slot out of L. A transmission survives only if it is alone in its
-slot; collided images are dropped (no retransmission). By default frames
-run until every queue is empty; ``fixed_frames`` caps the horizon instead,
-leaving unattempted images undelivered.
+slot; collided images are dropped (no retransmission). Frames run until
+every queue is empty, at most ``ScenarioConfig.max_frames``, so a cap
+``fixed_frames`` below N leaves unattempted images undelivered.
 
 Scores are compared to the threshold unclamped, keeping the simulation on
 the same probability model as the Q-function analysis.
@@ -161,10 +161,8 @@ class _Context:
         self.delta = cfg.truth_threshold
         self.sigma = cfg.model_noise
         self.slots = cfg.frame_slots()
-        self.fixed_frames = cfg.fixed_frames
         # the longest horizon a round can have
-        self.max_frames = (self.images if self.fixed_frames is None
-                           else min(self.images, self.fixed_frames))
+        self.max_frames = cfg.max_frames
         # raw 64-bit words holding a round's slot draws at that horizon,
         # two 32-bit draws to a word
         self.slot_words = (self.devices * self.max_frames + 1) // 2
@@ -470,8 +468,7 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
     rel_counts = np.count_nonzero(relevant, axis=2)
 
     horizons = rel_counts.max(axis=1)
-    if ctx.fixed_frames is not None:
-        np.minimum(horizons, ctx.fixed_frames, out=horizons)
+    np.minimum(horizons, ctx.max_frames, out=horizons)
     attempted = np.minimum(rel_counts, horizons[:, None])
     head = int(horizons.max())
 

@@ -215,7 +215,7 @@ def unswapped_mean_fraction(devices, images, slots, pth, alpha_r, alpha_n):
 ])
 def test_closed_form_matches_30_digit_reference(devices, images, slots):
     args = (0.3, 0.8, 0.05)
-    fast = _mean_fractions(devices, images, [slots], *args)[slots]
+    fast = _mean_fractions(devices, images, [slots], *args, images)[slots]
     assert fast == pytest.approx(
         unswapped_mean_fraction(devices, images, slots, *args),
         rel=1e-12, abs=0.0)
@@ -285,7 +285,7 @@ def test_closed_form_matches_adaptive_reference(
         monkeypatch, devices, images, slots, pth, alpha_r, alpha_n):
     # an independent quadrature, so unlike the 30-digit test above this
     # one sees the rule's own error and the tail it cuts
-    args = (devices, images, [slots], pth, alpha_r, alpha_n)
+    args = (devices, images, [slots], pth, alpha_r, alpha_n, images)
     reference, error = adaptive_mean_fraction(devices, images, slots, pth,
                                               alpha_r, alpha_n)
     assert error < 1e-20 * reference  # the reference itself is trustworthy
@@ -354,7 +354,7 @@ def test_closed_form_stays_finite_on_degenerate_inputs(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = _mean_fractions(devices, images, [slots], pth, alpha_r,
-                                alpha_n)[slots]
+                                alpha_n, images)[slots]
     assert math.isfinite(value)
     assert 0.0 <= value <= 1.0
 

@@ -72,6 +72,9 @@ def test_tinyairnet_honours_fixed_frames():
     assert tinyairnet_energy(cfg) == pytest.approx(direct, rel=1e-12)
     assert direct == pytest.approx(10.134, abs=5e-4)
     assert tinyairnet_energy(replace(cfg, fixed_frames=None)) > 6 * direct
+    # a Python float, as baseline_energy gives, capped or not
+    assert type(tinyairnet_energy(cfg)) is float
+    assert type(tinyairnet_energy(replace(cfg, fixed_frames=None))) is float
 
 
 def test_saving_ratio():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from ecopull import BetaTruth, ScenarioConfig, UniformTruth, cli, load_config
@@ -492,5 +493,29 @@ def test_chain_csv_bytes_are_fixed(tmp_path, capsys, argv, digests):
     rc, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
     assert rc == 0
     for name, digest in digests.items():
+        content = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(content).hexdigest() == digest
+
+
+def test_numpy_thresholds_leave_the_full_grid_bytes_alone(tmp_path, capsys):
+    # the filtered masses are memoized, and a numpy threshold shares the
+    # key of the equal float: whichever asks first, every later caller
+    # must get a float, or the grid writes True/False for true/false
+    from ecopull import default_vth_grid, p_th
+    from ecopull.energy import _filtered_mass
+    cfg = load_config()
+    _filtered_mass.cache_clear()
+    for vth in np.array(default_vth_grid()):
+        p_th(vth, cfg.model_noise, cfg.truth_distribution)
+    assert type(p_th(0.5, cfg.model_noise, cfg.truth_distribution)) is float
+    rc, _, _ = run_cli(capsys, "optimize", "--gamma-th", "0.8", "--full-grid",
+                       "--out", str(tmp_path))
+    assert rc == 0
+    # the full-grid digests of test_chain_csv_bytes_are_fixed
+    for name, digest in {
+            "optimize.csv": ("5c571397736970f4c9fcddbe55d04ac9"
+                             "d711fbfef642cdf3b710b15ee244a4e4"),
+            "optimize_grid.csv": ("e2016544ba969de742e25c8203d6d3db"
+                                  "ff94f2c8e08893d782a50697c8e51c4e")}.items():
         content = (tmp_path / name).read_bytes()
         assert hashlib.sha256(content).hexdigest() == digest

@@ -113,6 +113,23 @@ def test_round_trip_is_identity():
     assert save_config(load_config(save_config(cfg))) == save_config(cfg)
 
 
+@pytest.mark.parametrize("frames, horizon", [
+    (None, 100), (3, 3), (100, 100), (101, 100), (10**6, 100),
+])
+def test_max_frames_resolves_the_frame_cap(frames, horizon):
+    # a cap at or above N is no cap; the horizon is derived, not stored
+    cfg = load_config({"fixed_frames": frames})
+    assert cfg.max_frames == horizon
+    assert type(cfg.max_frames) is int
+    assert "max_frames" not in save_config(cfg)
+    assert "max_frames" not in dump_config(cfg)
+    # compare builds one config per library size, keeping the cap
+    for images in (2, 5, 100, 200):
+        sized = dataclasses.replace(cfg, images_per_device=images)
+        cap = images if frames is None else min(frames, images)
+        assert sized.max_frames == cap
+
+
 def test_uniform_truth_cdf_is_identity():
     truth = UniformTruth()
     for beta in (0.0, 0.2, 0.5, 0.99, 1.0):

@@ -66,7 +66,8 @@ def measure() -> dict:
         pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                    cfg.truth_distribution)
         _, _, alpha_r, alpha_n = analytic.score_terms(cfg, pth)
-        args = (devices, images, [cfg.frame_slots()], pth, alpha_r, alpha_n)
+        args = (devices, images, [cfg.frame_slots()], pth, alpha_r, alpha_n,
+                images)
         result[f"mean_fractions_K{devices}_N{images}_ms"] = median_ms(
             lambda: analytic._mean_fractions(*args), repeats)
 
