@@ -8,12 +8,12 @@ random state is never stored here.
 import json
 import math
 import warnings
-from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass, replace)
 from functools import lru_cache, partial
 from numbers import Real
 from typing import (Any, Iterable, Mapping, Optional, Union, get_args,
-                    get_origin, get_type_hints)
+                    get_origin)
 
 import numpy as np
 
@@ -50,13 +50,11 @@ class ConfigError(ValueError):
 @lru_cache(maxsize=None)
 def _field_kinds(cls: type) -> dict[str, tuple[type, bool]]:
     """Each field's annotated type, ``Optional`` unwrapped, and whether the
-    field is ``Optional``. The annotations here are evaluated (only the
-    ``sample`` methods quote ``np.random.Generator``, whose name would
-    import numpy.random), so reading them needs no string eval."""
-    hints = get_type_hints(cls)
+    field is ``Optional``. This module does not postpone annotations, so a
+    field's ``type`` is its evaluated annotation."""
     kinds = {}
     for f in fields(cls):
-        kind = hints[f.name]
+        kind = f.type
         optional = get_origin(kind) is Union
         if optional:
             kind = next(arg for arg in get_args(kind) if arg is not type(None))
@@ -453,6 +451,12 @@ def _build(cls: type, spec: Any, path: str = "", base: Any = None) -> Any:
             kwargs[key] = int(raw)
         else:
             kwargs[key] = raw
+    if base is None:
+        missing = [f"{path}.{f.name}" if path else f.name for f in fields(cls)
+                   if f.default is f.default_factory is MISSING
+                   and f.name not in kwargs]
+        if missing:
+            raise ConfigError(f"{', '.join(missing)} must be set")
     try:
         return cls(**kwargs) if base is None else replace(base, **kwargs)
     except (TypeError, ValueError) as exc:

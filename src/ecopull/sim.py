@@ -11,9 +11,9 @@ every queue is empty, at most ``ScenarioConfig.max_frames``, so a cap
 Scores are compared to the threshold unclamped, keeping the simulation on
 the same probability model as the Q-function analysis.
 
-Rounds are simulated in blocks. Each round still draws from its own
-generator, in the order of a one-round call; everything after the draws
-runs once per block, so a block's rounds equal one-round calls bit for bit.
+Rounds are simulated in blocks, sized to keep collision codes below 2^63.
+Each round draws from its own generator, in the order of a one-round call;
+the rest runs once per block, so its rounds equal one-round calls bit for bit.
 A device's queue order is the order of its images' ``random()`` keys;
 the keys are drawn as the raw 64-bit words ``random()`` would map to
 doubles, and queued by one integer sort of codes that pack each key's
@@ -161,6 +161,8 @@ class _Context:
         self.delta = cfg.truth_threshold
         self.sigma = cfg.model_noise
         self.slots = cfg.frame_slots()
+        # low bits of a collision code, which hold its sender (see _alone)
+        self.sender_bits = max(self.devices - 1, 1).bit_length()
         # the longest horizon a round can have
         self.max_frames = cfg.max_frames
         # raw 64-bit words holding a round's slot draws at that horizon,
@@ -173,13 +175,6 @@ class _Context:
         self.comp_per_relevant = _compression_energy(cfg)
         self.comm_fixed = communication_energy(cfg, 0)
         self.comm_per_tx = _uplink_energy(cfg)
-
-
-def _row_starts(shape: tuple) -> np.ndarray:
-    """Flat index of the first element of every last-axis row of ``shape``,
-    shaped to broadcast against per-row indices."""
-    width = shape[-1]
-    return np.arange(0, math.prod(shape), width).reshape(*shape[:-1], 1)
 
 
 # Generator.random() maps a raw 64-bit word to (raw >> 11) * 2**-53, so
@@ -220,7 +215,8 @@ def _queue_order(keys: np.ndarray, relevant: np.ndarray,
     return np.argsort(keys, axis=-1, kind="stable")[..., :head]
 
 
-def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray:
+def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int,
+           bits: int) -> np.ndarray:
     """Flat indices into ``slots[round, device, frame]`` of the active
     transmissions that are the only one in their (round, frame, slot) cell.
 
@@ -228,21 +224,15 @@ def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray
     active transmissions' codes are sorted, so a transmission is alone when
     neither sorted neighbour has its cell. Memory grows with the
     transmissions, not with the slot count. The codes stay below
-    ``(rounds * frames * L) << bits``; when that reaches 2^63, each round's
-    cells are coded and sorted apart, and only a round whose own codes
-    reach 2^63 is rejected.
+    ``(rounds * frames * L) << bits``, which must be below 2^63:
+    ``simulate`` sizes its blocks so, and a round whose own codes reach it
+    is rejected.
     """
     rounds, devices, frames = slots.shape
-    bits = max(devices - 1, 1).bit_length()
-    if (frames * slot_count) << bits >= 1 << 63:
+    if (rounds * frames * slot_count) << bits >= 1 << 63:
         raise ValueError(
             f"a round of {frames} frames of {slot_count} slots for "
             f"{devices} devices needs collision codes of 2^63 or more")
-    if (rounds * frames * slot_count) << bits >= 1 << 63:
-        # round b's flat indices follow the rounds before it
-        return np.concatenate([
-            _alone(slots[b:b + 1], active[b:b + 1], slot_count)
-            + b * devices * frames for b in range(rounds)])
     slots += (np.arange(rounds)[:, None, None] * frames
               + np.arange(frames)) * slot_count
     slots <<= bits
@@ -264,13 +254,13 @@ def _alone(slots: np.ndarray, active: np.ndarray, slot_count: int) -> np.ndarray
 @dataclass(frozen=True, eq=False)
 class _Rounds:
     """Arrays of a block of rounds: ``RoundOutcome``'s with a leading round axis,
-    plus each round's counts and mean device energy."""
+    ``delivered`` as flat indices, and each round's counts and mean energy."""
 
     true_similarity: np.ndarray      # (B, K, N)
     observed_similarity: np.ndarray  # (B, K, N)
     relevant: np.ndarray             # (B, K, N) bool
     actual: np.ndarray               # (B, K, N) bool
-    delivered: np.ndarray            # (B, K, N) bool
+    delivered: np.ndarray            # flat indices into (B, K, N)
     relevant_counts: np.ndarray      # (B, K)
     computation: np.ndarray          # (B, K) J
     communication: np.ndarray        # (B, K) J
@@ -472,32 +462,32 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
     attempted = np.minimum(rel_counts, horizons[:, None])
     head = int(horizons.max())
 
-    delivered = np.zeros_like(relevant)
-    if head > 0:
-        if words is None:
-            # frames past a round's horizon keep stale values, which no
-            # active transmission reads
-            slots = _lead(buffers.slots, (rounds, ctx.devices, head))
-        else:
-            slots, rejected = _lemire_slots(raw[:, images:], horizons,
-                                            ctx.devices, head, ctx.slots)
-            for b in np.flatnonzero(rejected).tolist():
-                rng = np.random.default_rng(seeds[b])
-                _draw(ctx, rng, beta[b], observed[b], keys[b])
-                pending.append((b, rng))
-        for b, rng in pending:
-            horizon = int(horizons[b])
-            if horizon > 0:
-                slots[b, :, :horizon] = rng.integers(
-                    0, ctx.slots, size=(ctx.devices, horizon))
-        active = np.arange(head) < attempted[..., None]
-        sent = _queue_order(keys, relevant, head)
-        sent += _row_starts(keys.shape)
-        delivered.reshape(-1)[sent.take(_alone(slots, active, ctx.slots))] = True
+    if words is None:
+        # frames past a round's horizon keep stale values, which no
+        # active transmission reads
+        slots = _lead(buffers.slots, (rounds, ctx.devices, head))
+    else:
+        slots, rejected = _lemire_slots(raw[:, images:], horizons,
+                                        ctx.devices, head, ctx.slots)
+        for b in np.flatnonzero(rejected).tolist():
+            rng = np.random.default_rng(seeds[b])
+            _draw(ctx, rng, beta[b], observed[b], keys[b])
+            pending.append((b, rng))
+    for b, rng in pending:
+        horizon = int(horizons[b])
+        if horizon > 0:
+            slots[b, :, :horizon] = rng.integers(
+                0, ctx.slots, size=(ctx.devices, horizon))
+    active = np.arange(head) < attempted[..., None]
+    sent = _queue_order(keys, relevant, head)
+    lone = _alone(slots, active, ctx.slots, ctx.sender_bits)
+    # lone // head is round * K + device
+    delivered = lone // head * ctx.images + sent.take(lone)
 
     actual = beta >= ctx.delta
     omega = np.count_nonzero(actual, axis=(1, 2))
-    hits = np.count_nonzero(delivered & actual, axis=(1, 2))
+    owner = delivered // images
+    hits = np.bincount(owner[actual.reshape(-1)[delivered]], minlength=rounds)
     loss = (ctx.kd * hits + ctx.gamma * (omega - hits)) / np.maximum(omega, 1)
     computation = ctx.comp_fixed + rel_counts * ctx.comp_per_relevant
     communication = ctx.comm_fixed + attempted * ctx.comm_per_tx
@@ -513,7 +503,7 @@ def _run_rounds(ctx: _Context, seeds: Sequence[SeedLike],
         frames=horizons,
         sifi=np.where(omega > 0, 1.0 - loss, 1.0),
         mean_energy=np.mean(computation + communication, axis=1),
-        delivered_counts=np.count_nonzero(delivered, axis=(1, 2)),
+        delivered_counts=np.bincount(owner, minlength=rounds),
         actual_counts=omega,
     )
 
@@ -522,12 +512,14 @@ def run_round(cfg: ScenarioConfig, seed: SeedLike) -> RoundOutcome:
     """Simulate one round on ``default_rng(seed)``."""
     ctx = _Context(cfg)
     out = _run_rounds(ctx, [seed], None, _RoundBuffers(ctx, 1))
+    delivered = np.zeros_like(out.relevant[0])
+    delivered.reshape(-1)[out.delivered] = True
     return RoundOutcome(
         true_similarity=out.true_similarity[0],
         observed_similarity=out.observed_similarity[0],
         relevant=out.relevant[0],
         actual=out.actual[0],
-        delivered=out.delivered[0],
+        delivered=delivered,
         relevant_counts=out.relevant_counts[0],
         computation=out.computation[0],
         communication=out.communication[0],
@@ -543,8 +535,9 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     Round ``i`` is ``run_round(cfg, (seed, i))``: the same kernel on a
     generator seeded by ``(seed, i)``, so ``rounds=1`` reproduces
     ``run_round(cfg, (seed, 0))`` exactly. Rounds are simulated in blocks
-    of at most ``_BLOCK_ELEMENTS`` images, and accumulated in round order,
-    keeping aggregates bitwise stable. Blocks of at least
+    of at most ``_BLOCK_ELEMENTS`` images whose collision codes stay below
+    2^63 (see ``_alone``), and accumulated in round order, keeping
+    aggregates bitwise stable. Blocks of at least
     ``_MIN_HASHED_BLOCK`` rounds seed their generators without
     ``SeedSequence``, to the same bits (see the module docstring). Rounds
     of at least ``_MIN_THREADED_ROUND`` images run on the calling thread
@@ -556,7 +549,9 @@ def simulate(cfg: ScenarioConfig, rounds: int, seed: int,
     if seed < 0:
         raise ValueError(f"seed={seed} must be >= 0")
     ctx = _Context(cfg)
-    block = max(1, _BLOCK_ELEMENTS // (ctx.devices * ctx.images))
+    block = max(1, min(_BLOCK_ELEMENTS // (ctx.devices * ctx.images),
+                       (2 ** 63 - 1) // ((ctx.max_frames * ctx.slots)
+                                         << ctx.sender_bits)))
     hashed = (block >= _MIN_HASHED_BLOCK and seed <= _MASK32
               and rounds <= _MASK32 + 1 and ctx.slots <= _MASK32)
     sifi_sum = 0.0

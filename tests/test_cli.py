@@ -272,6 +272,14 @@ def test_config_errors_exit_code(capsys):
     assert "configuration error" in err
 
 
+def test_beta_kind_without_its_shapes_exits_2_naming_them(capsys):
+    rc, out, err = run_cli(capsys, "simulate", "--rounds", "1", "--set",
+                           "truth_distribution.kind=beta")
+    assert rc == 2 and out == ""
+    assert ("truth_distribution.alpha, truth_distribution.beta must be set"
+            in err)
+
+
 def test_nested_field_error_names_the_dotted_field(capsys):
     rc, out, err = run_cli(capsys, "print-config", "--set",
                            "compressor_hw.sram_bits=0")

@@ -276,6 +276,26 @@ def test_beta_spec_without_beta_names_the_field():
         load_config({"truth_distribution": {"kind": "beta", "alpha": 2.0}})
 
 
+def test_beta_spec_without_its_shapes_names_them():
+    with pytest.raises(ConfigError, match=r"^truth_distribution\.alpha, "
+                       r"truth_distribution\.beta must be set$"):
+        load_config({"truth_distribution": {"kind": "beta"}})
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, ImageGeometry, RadioProfile,
+                                 HardwareProfile, ModelCost, UniformTruth,
+                                 BetaTruth])
+def test_field_kinds_are_the_evaluated_annotations(cls):
+    # the kinds read each field's ``type``, which postponed annotations
+    # would turn into strings
+    from ecopull.config import _field_kinds
+    kinds = {}
+    for name, kind in get_type_hints(cls).items():
+        optional = kind in (Optional[int], Optional[float])
+        kinds[name] = (kind.__args__[0] if optional else kind, optional)
+    assert _field_kinds(cls) == kinds
+
+
 def test_none_rejected_where_the_field_is_not_optional():
     with pytest.raises(ConfigError, match="penalty=None"):
         load_config({"penalty": None})

@@ -269,7 +269,7 @@ BLOCK_CONFIGS = {
                       "relevance_threshold": 0.0, "model_noise": 1e-12,
                       "slots_per_frame": 10 ** 6, "slot_coefficient": None},
     "empty-queues": {"relevance_threshold": 1.0, "model_noise": 1e-12},
-    # collision codes of a block of 32 rounds pass 2^63, one round's do not
+    # blocks of 10 rounds, not 32, keep the collision codes below 2^63
     "slots-at-2**50": {"slots_per_frame": 2 ** 50, "slot_coefficient": None},
     "argsort-queues": {"device_count": 2, "images_per_device": 2049},
 }
@@ -632,6 +632,17 @@ def test_rounds_below_the_threaded_size_start_no_thread(monkeypatch, spec,
     simulate(load_config(spec), 5, 1)
     assert [(count, rounds) for _, count, rounds in calls] == [
         (before, rounds) for rounds in blocks]
+
+
+def test_block_size_keeps_collision_codes_below_2_63(monkeypatch):
+    cfg = load_config(BLOCK_CONFIGS["slots-at-2**50"])
+    calls = watch_rounds(monkeypatch)
+    simulate(cfg, 40, 1)
+    blocks = [rounds for _, _, rounds in calls]
+    assert blocks == [10] * 4
+    # 3 bits hold the sender of each of the 5 devices
+    assert all((rounds * cfg.max_frames * cfg.frame_slots()) << 3 < 2 ** 63
+               for rounds in blocks)
 
 
 def test_collision_codes_that_overflow_int64_are_rejected():
