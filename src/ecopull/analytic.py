@@ -118,9 +118,6 @@ _LOAD_BLOCK = 64  # G is evaluated for this many consecutive loads at once
 _FIRST_PANEL = 8.0
 _TAIL_CUT = 48.0
 _PANEL_ORDER = 12  # Gauss-Legendre nodes per panel
-# the slot counts' stacked (count, node, frame) arrays hold at most this
-# many entries, unless one count's (node, frame) array alone holds more
-_STACK_BLOCK = 1 << 18
 
 
 def _panel_rule(lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,9 +149,9 @@ def _mean_fractions(device_count: int, images_per_device: int,
     [0, 1]; the scale ``A^K / x_r`` goes back in at the end. Only
     ``M_nu`` and the sum over frames depend on the slot count, so
     everything else is computed once for all of ``slot_counts``, and the
-    slot counts are stacked along a leading axis, ``_STACK_BLOCK`` entries
-    at a time. ``log_law`` is ``saddle_logpmf(N, pass_probability)`` when
-    the caller has it.
+    frame sum is then taken one slot count at a time from the shared
+    rows. ``log_law`` is ``saddle_logpmf(N, pass_probability)`` when the
+    caller has it.
     """
     images = images_per_device
     pdelta = pass_probability * alpha_r + (1.0 - pass_probability) * alpha_n
@@ -184,34 +181,25 @@ def _mean_fractions(device_count: int, images_per_device: int,
     del y  # at large N each (node, load) array is tens of MB
     # log(A^K / x_r)
     scale = device_count * (top + np.log(total)) - log_xr
+    fractions = {}
     with np.errstate(divide="ignore"):
         log_above = np.log(above)
-    slot_counts = list(slot_counts)
-    block = max(1, _STACK_BLOCK // log_above.size)
-    fractions = {}
-    for start in range(0, len(slot_counts), block):
-        counts = slot_counts[start:start + block]
-        with np.errstate(divide="ignore"):
-            # log S_nu M_nu^(K-1), up to the scale, one slot count per
-            # leading index, built in place in one stacked array
+        for slots in slot_counts:
+            # log S_nu M_nu^(K-1), up to the scale, built in place
             if device_count > 1:
-                keep = np.array([1.0 - 1.0 / slots for slots in counts])
-                terms = keep[:, None, None] * above
+                terms = (1.0 - 1.0 / slots) * above
                 terms += below
                 np.log(terms, out=terms)
                 terms *= device_count - 1
                 terms += log_above
             else:  # one device: S_nu alone
-                terms = log_above[None].copy()
-            peak = terms.max(axis=2, keepdims=True)
+                terms = log_above.copy()
+            peak = terms.max(axis=1, keepdims=True)
             peak[peak == -math.inf] = 0.0  # a row of zeros stays zero
             terms -= peak
             np.exp(terms, out=terms)
-            log_sum = np.log(terms.sum(axis=2, keepdims=True))
-            integrand = np.exp(scale + peak + log_sum)[..., 0]
-        if device_count == 1:  # nothing collides: one row serves every count
-            integrand = integrand.repeat(len(counts), axis=0)
-        for slots, row in zip(counts, integrand):
+            log_sum = np.log(terms.sum(axis=1, keepdims=True))
+            row = np.exp(scale + peak + log_sum)[:, 0]
             fractions[slots] = device_count * alpha_r * float(row @ weights)
     return fractions
 

@@ -42,6 +42,6 @@ def tinyairnet_energy(cfg: ScenarioConfig) -> float:
 
 def energy_saving_ratio(scheme_energy: float, baseline: float) -> float:
     """Scheme energy over baseline energy; below 1 means the scheme saves."""
-    if baseline <= 0:
+    if not baseline > 0:
         raise ValueError(f"baseline energy {baseline} must be > 0")
     return scheme_energy / baseline

@@ -317,7 +317,7 @@ def slots_for_rate(rate: float, slot_coefficient: int) -> int:
     A tiny tolerance absorbs float noise when the ratio is an exact integer;
     a frame has at least ``c_L`` slots however large the rate.
     """
-    if rate <= 0:
+    if not rate > 0:
         raise ConfigError(f"compression_rate={rate} must be > 0")
     if slot_coefficient < 1:
         raise ConfigError(f"slot_coefficient={slot_coefficient} must be >= 1")
@@ -415,7 +415,7 @@ def packet_bits(cfg: ScenarioConfig, rate: Optional[float] = None) -> float:
     """
     if rate is None:
         rate = cfg.compression_rate
-    if rate <= 0:
+    if not rate > 0:
         raise ConfigError(f"compression_rate={rate} must be > 0")
     return rate * cfg.image.pixels
 

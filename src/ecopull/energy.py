@@ -37,7 +37,10 @@ __all__ = [
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    # every caller shares the cached arrays
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 _QUAD_ORDER = 16   # Gauss-Legendre nodes per panel of quad_interval
@@ -93,7 +96,7 @@ def computation_energy(cfg: ScenarioConfig, relevant_count: float) -> float:
 def communication_energy(cfg: ScenarioConfig, sent_count: float) -> float:
     """Radio energy: model and query reception and one packet uplink per
     sent image; ``sent_count``, ``min(c, F)`` under a cap, may be a mean."""
-    if sent_count < 0:
+    if not sent_count >= 0:
         raise ValueError(f"sent_count={sent_count} must be >= 0")
     rx_bits = (cfg.behavior_model.size * cfg.behavior_model.tx_bits
                + cfg.query_length * cfg.behavior_hw.sram_bits)
@@ -131,8 +134,8 @@ def p_th(relevance_threshold: float, model_noise: float,
     if not 0.0 <= relevance_threshold <= 1.0:
         raise ValueError(
             f"relevance_threshold={relevance_threshold} outside [0, 1]")
-    if model_noise <= 0:
-        raise ValueError(f"model_noise={model_noise} must be > 0")
+    if not 0 < model_noise < math.inf:
+        raise ValueError(f"model_noise={model_noise} must be finite and > 0")
     return _filtered_mass(relevance_threshold, model_noise, truth, 0.0)
 
 

@@ -20,6 +20,6 @@ FIDELITY_BASE = 0.0725
 
 def fidelity_distance(rate: float) -> float:
     """Normalized reconstruction distance at a compression rate, in [0, 1]."""
-    if rate < 0:
+    if not rate >= 0:
         raise ValueError(f"rate={rate} must be >= 0")
     return FIDELITY_BASE ** rate

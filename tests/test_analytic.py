@@ -359,6 +359,24 @@ def test_closed_form_stays_finite_on_degenerate_inputs(
     assert 0.0 <= value <= 1.0
 
 
+@pytest.mark.parametrize("devices, slots", [
+    (5, [25, 15, 20, 15]),      # unsorted, with a duplicate
+    (1, [25, 1, 15, 25]),       # one device: the same value for every count
+    (3, [1, 10 ** 6, 2]),       # one slot: b = 0
+], ids=["several-devices", "one-device", "one-slot"])
+def test_closed_form_sums_each_slot_count_as_alone(devices, slots):
+    # several slot counts share everything but the frame sum, which must
+    # give each count the bits of a call with that count alone
+    for images, frames in ((25, 25), (100, 40)):
+        args = (0.4, 0.7, 0.05, frames)
+        together = _mean_fractions(devices, images, slots, *args)
+        assert sorted(together) == sorted(set(slots))
+        for count in slots:
+            alone = _mean_fractions(devices, images, [count], *args)[count]
+            assert together[count].hex() == alone.hex()
+            assert 0.0 < alone <= 1.0
+
+
 def test_exact_single_device_reduces_to_closed_form():
     cfg = cfg_for(1, 6, 4)
     offset, slope = sifi_affine(cfg)

@@ -1,14 +1,18 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ecopull import (UniformTruth, communication_energy, computation_energy,
-                     expected_sifi_exact, expected_total_energy,
+from ecopull import (BetaTruth, ConfigError, UniformTruth,
+                     communication_energy, computation_energy,
+                     energy_saving_ratio, expected_sifi_exact,
+                     expected_total_energy, fidelity_distance,
                      fixed_overhead_energy, inference_energy, load_config,
-                     mcmc_expected_sifi, model_load_total, p_th,
-                     per_relevant_image_energy, simulate, tinyairnet_energy)
-from ecopull.energy import _mean_sent
+                     mcmc_expected_sifi, model_load_total, p_th, packet_bits,
+                     per_relevant_image_energy, simulate, slots_for_rate,
+                     tinyairnet_energy)
+from ecopull.energy import _gauss_rule, _mean_sent
 from reference import expected_energy_by_count
 
 LOAD = 4.622336e-4 + 8.71424e-6  # both models staged in SRAM
@@ -184,3 +188,34 @@ def test_frame_cap_at_or_above_library_is_no_cap_bit_for_bit(frames):
     assert simulate(capped, 40, 3) == simulate(cfg, 40, 3)
     assert (mcmc_expected_sifi(capped, 2000, 3)
             == mcmc_expected_sifi(cfg, 2000, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: p_th(0.5, math.nan, UniformTruth()), ValueError,
+     "model_noise=nan"),
+    (lambda: p_th(0.5, math.inf, UniformTruth()), ValueError,
+     "model_noise=inf"),
+    (lambda: p_th(0.5, math.inf, BetaTruth(2.0, 5.0)), ValueError,
+     "model_noise=inf"),
+    (lambda: packet_bits(load_config(), math.nan), ConfigError,
+     "compression_rate=nan must be > 0"),
+    (lambda: slots_for_rate(math.nan, 5), ConfigError,
+     "compression_rate=nan must be > 0"),
+    (lambda: fidelity_distance(math.nan), ValueError, "rate=nan must be >= 0"),
+    (lambda: communication_energy(load_config(), math.nan), ValueError,
+     "sent_count=nan must be >= 0"),
+    (lambda: energy_saving_ratio(1.0, math.nan), ValueError,
+     "baseline energy nan must be > 0"),
+], ids=["p_th-nan", "p_th-inf", "p_th-beta-inf", "packet_bits",
+        "slots_for_rate", "fidelity_distance", "communication_energy",
+        "energy_saving_ratio"])
+def test_range_checks_reject_nan(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_gauss_rule_arrays_are_read_only():
+    # the cached arrays are shared by every caller
+    for array in _gauss_rule(12):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5

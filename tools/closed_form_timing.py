@@ -12,7 +12,9 @@ times, each as the median of several calls after one warm-up call:
 
 - ``analytic._mean_fractions`` for one threshold of the default scenario
   at K=5, N=100, at K=50, N=1000 and at K=5, N=10000, the large-library
-  path (one slot count, the default rate's);
+  path (one slot count, the default rate's), and at K=5, N=25 and K=5,
+  N=100 with the default rate grid's three slot counts 15, 20 and 25, the
+  shape of a design row;
 - one ``optimize`` search of the default scenario at ``--gamma-th 0.8``
   over the default grid, at N=25 and at N=100, with ecopull's functools
   caches emptied first, as a fresh invocation starts;
@@ -36,6 +38,9 @@ import tempfile
 from paired_timing import empty_caches, median_ms, run
 
 SIZES = ((5, 100, 50), (50, 1000, 10), (5, 10000, 3))  # (K, N, calls)
+ROW_SIZES = ((5, 25), (5, 100))  # (K, N) of a design row
+ROW_SLOTS = [15, 20, 25]  # the default rate grid's slot counts
+ROW_CALLS = 50
 OPTIMIZE_SIZES = (25, 100)
 OPTIMIZE_CALLS = 20
 LAW_SIZES = (25, 100)
@@ -60,15 +65,18 @@ def measure() -> dict:
                          p_th)
 
     result = {}
-    for devices, images, repeats in SIZES:
+    cases = ([(f"K{k}_N{n}", k, n, None, calls) for k, n, calls in SIZES]
+             + [(f"row_K{k}_N{n}", k, n, ROW_SLOTS, ROW_CALLS)
+                for k, n in ROW_SIZES])
+    for name, devices, images, slots, repeats in cases:
         cfg = load_config({"device_count": devices,
                            "images_per_device": images})
         pth = p_th(cfg.relevance_threshold, cfg.model_noise,
                    cfg.truth_distribution)
         _, _, alpha_r, alpha_n = analytic.score_terms(cfg, pth)
-        args = (devices, images, [cfg.frame_slots()], pth, alpha_r, alpha_n,
-                images)
-        result[f"mean_fractions_K{devices}_N{images}_ms"] = median_ms(
+        args = (devices, images, slots or [cfg.frame_slots()], pth, alpha_r,
+                alpha_n, images)
+        result[f"mean_fractions_{name}_ms"] = median_ms(
             lambda: analytic._mean_fractions(*args), repeats)
 
     for images in OPTIMIZE_SIZES:
